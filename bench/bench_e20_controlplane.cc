@@ -2,22 +2,21 @@
 // AID-resolution hot paths at 10^6 registered identities and grants,
 // swept across a worker pool, tuned vs the retained pre-PR-10 baseline.
 //
-// The two configurations differ only in control-plane options over the
-// *same* loaded store:
+// The two configurations run over the *same* loaded store:
 //
 //   baseline — ControlPlaneTuning.reference_mode (single-mutex session
-//   registry + full-registry sweep inside every authentication),
-//   PolicyDb with the secondary index disabled (reads are table prefix
-//   scans) and the AID cache off;
+//   registry + full-registry sweep inside every authentication), and
+//   identity reads through the retained table prefix scan
+//   (RowsForIdentityScan);
 //
-//   tuned — striped TTL session registry with the amortized sweep, the
-//   ordered (identity, attribute) secondary index, and the
-//   invalidate-on-Revoke AID LRU.
+//   tuned — striped TTL session registry with the amortized sweep, and
+//   identity reads through the ordered (identity, attribute) index.
 //
 // Phases per (mode, workers) point: the RC auth handshake
 // (Authenticate + GetSession + CloseSession) against a pre-populated
-// session registry, token issuance (GrantsFor + IssueToken), AID
-// resolution (RowForAid + RowsForIdentity, 80/20 hot/cold), and a PEKS
+// session registry, token issuance (GrantsFor + IssueToken, index-served
+// in both modes), AID resolution (RowForAid point lookup, 80/20
+// hot/cold, + the mode's identity read), and a PEKS
 // TestMany sweep over a tag corpus. A bounded-memory sub-run caps
 // max_sessions and verifies the `gatekeeper.sessions` gauge never
 // exceeds it.
@@ -183,9 +182,10 @@ mws::wire::RcAuthRequest BuildAuthRequest(const LoadedCorpus& corpus,
   return request;
 }
 
-/// One (mode, workers) sweep point over a live service.
-Point RunPoint(mws::mws::MwsService& service, const LoadedCorpus& corpus,
-               const Scale& scale, size_t workers,
+/// One (mode, workers) sweep point over a live service. `scan_reads`
+/// routes the resolve phase's identity read to the retained prefix scan.
+Point RunPoint(mws::mws::MwsService& service, bool scan_reads,
+               const LoadedCorpus& corpus, const Scale& scale, size_t workers,
                mws::util::SimulatedClock& clock, const mws::ibe::Peks& peks,
                const std::vector<mws::ibe::Peks::Tag>& tags,
                const mws::ibe::Peks::Trapdoor& trapdoor,
@@ -240,9 +240,11 @@ Point RunPoint(mws::mws::MwsService& service, const LoadedCorpus& corpus,
         uint64_t aid = seq % 5 == 0
                            ? corpus.sample_aids[seq % corpus.sample_aids.size()]
                            : corpus.sample_aids[seq % hot];
-        if (!service.policy_db().RowForAid(aid).ok()) g_failures.fetch_add(1);
+        const mws::store::PolicyDb& db = service.policy_db();
+        if (!db.RowForAid(aid).ok()) g_failures.fetch_add(1);
         const std::string& id = corpus.identities[seq * 389 % n];
-        auto rows = service.policy_db().RowsForIdentity(id);
+        auto rows = scan_reads ? db.RowsForIdentityScan(id)
+                               : db.RowsForIdentity(id);
         if (!rows.ok() || rows->empty()) g_failures.fetch_add(1);
       });
 
@@ -290,7 +292,10 @@ std::string PhaseJson(const char* name, const PhaseStats& s) {
 int Run(bool smoke, const std::string& json_path) {
   Scale scale;
   if (smoke) {
-    scale = {10'000, 500, 50, 20, 100, 32, {1, 2}};
+    // Auth and resolve ops are sized so each timed window spans tens of
+    // milliseconds: sub-millisecond windows let one scheduler preemption
+    // decide the throughput gates.
+    scale = {10'000, 500, 1'000, 20, 20'000, 32, {1, 2}};
   } else {
     scale = {1'000'000, 10'000, 400, 100, 500, 512, {1, 2, 4, 8}};
   }
@@ -324,11 +329,7 @@ int Run(bool smoke, const std::string& json_path) {
     mws::mws::MwsOptions options;
     mws::obs::Registry metrics;
     options.metrics = &metrics;
-    if (!tuned) {
-      options.tuning.reference_mode = true;
-      options.policy.enable_index = false;
-      options.policy.aid_cache_capacity = 0;
-    }
+    options.tuning.reference_mode = !tuned;
     int64_t t0 = mws::obs::SteadyNowMicros();
     mws::mws::MwsService service(corpus.storage.get(), Bytes(32, 0x5a),
                                  &clock, &rng, options);
@@ -354,8 +355,8 @@ int Run(bool smoke, const std::string& json_path) {
     }
     ModeResult mode{tuned ? "tuned" : "baseline", {}};
     for (size_t workers : scale.workers) {
-      mode.points.push_back(RunPoint(service, corpus, scale, workers, clock,
-                                     peks, tags, trapdoor,
+      mode.points.push_back(RunPoint(service, !tuned, corpus, scale, workers,
+                                     clock, peks, tags, trapdoor,
                                      expected_matches));
       PrintPoint(mode.name, mode.points.back());
     }
@@ -373,8 +374,6 @@ int Run(bool smoke, const std::string& json_path) {
     mws::obs::Registry metrics;
     options.metrics = &metrics;
     options.tuning.max_sessions = bounded_cap;
-    options.policy.enable_index = false;  // gatekeeper-only sub-run
-    options.policy.aid_cache_capacity = 0;
     mws::mws::MwsService service(corpus.storage.get(), Bytes(32, 0x5a),
                                  &clock, &rng, options);
     mws::util::DeterministicRandom bounded_rng(31337);

@@ -430,31 +430,6 @@ std::vector<Row> MeasureFastPaths(const TypeAParams& group, bool smoke) {
              min_iters, min_ms)});
   }
 
-  // Dedicated Montgomery squaring (SOS kernel, dispatched by Fp::Sqr)
-  // vs the fused-CIOS general product MontMul(a, a). Below the
-  // kMontSqrMinLimbs threshold (the kSmall preset) Sqr intentionally
-  // falls back to MontMul, so this row sits at ~1.0x there. The win is
-  // compiler-sensitive (see kMontSqrMinLimbs in fp.h): ~1.1-1.2x at
-  // kTest under the default -O2 build, parity-to-slightly-behind under
-  // -O3 — the gate's slack guards "never materially slower".
-  {
-    std::vector<mws::math::Fp> elems;
-    for (size_t i = 0; i < kInputs; ++i) {
-      elems.push_back(mws::math::Fp::FromBigInt(group.ctx(), scalars[i]));
-    }
-    rows.push_back(
-        {"mont_sqr",
-         MeasureNs(
-             [&] { benchmark::DoNotOptimize(elems[n++ % kInputs].Sqr()); },
-             min_iters, min_ms),
-         MeasureNs(
-             [&] {
-               const mws::math::Fp& a = elems[n++ % kInputs];
-               benchmark::DoNotOptimize(a * a);
-             },
-             min_iters, min_ms)});
-  }
-
   rows.push_back(
       {"fp2_pow_window",
        MeasureNs([&] { benchmark::DoNotOptimize(
@@ -462,24 +437,6 @@ std::vector<Row> MeasureFastPaths(const TypeAParams& group, bool smoke) {
                  min_iters, min_ms),
        MeasureNs([&] { benchmark::DoNotOptimize(
                            unit.PowBinary(scalars[n++ % kInputs])); },
-                 min_iters, min_ms)});
-
-  // LRU-hit hash-to-point vs a cold cache: rotate over 8 ids (all warm
-  // after one pass) against fresh never-seen identities.
-  std::vector<Bytes> warm_ids;
-  for (int i = 0; i < 8; ++i) {
-    warm_ids.push_back(BytesFromString("warm-" + std::to_string(i)));
-    ibe.HashToPoint(warm_ids.back());
-  }
-  uint64_t cold = 0;
-  rows.push_back(
-      {"hash_to_point_lru",
-       MeasureNs([&] { benchmark::DoNotOptimize(
-                           ibe.HashToPoint(warm_ids[n++ % 8])); },
-                 min_iters, min_ms),
-       MeasureNs([&] { benchmark::DoNotOptimize(ibe.HashToPoint(
-                           BytesFromString("cold-" +
-                                           std::to_string(cold++)))); },
                  min_iters, min_ms)});
 
   return rows;

@@ -1,9 +1,5 @@
 #include "src/ibe/bf_ibe.h"
 
-#include <list>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "src/crypto/hash.h"
@@ -55,20 +51,7 @@ void SystemParams::Precompute() {
       std::make_shared<const math::PairingPrecomp>(*group, p_pub);
 }
 
-/// Fixed-capacity LRU: list front = most recently used; the map indexes
-/// list nodes by identity bytes.
-struct BfIbe::HashCache {
-  static constexpr size_t kCapacity = 64;
-
-  std::mutex mu;
-  std::list<std::pair<std::string, EcPoint>> order;
-  std::unordered_map<std::string,
-                     std::list<std::pair<std::string, EcPoint>>::iterator>
-      index;
-};
-
-BfIbe::BfIbe(const math::TypeAParams& group)
-    : group_(group), hash_cache_(std::make_shared<HashCache>()) {}
+BfIbe::BfIbe(const math::TypeAParams& group) : group_(group) {}
 
 std::pair<SystemParams, MasterKey> BfIbe::Setup(
     util::RandomSource& rng) const {
@@ -81,22 +64,9 @@ std::pair<SystemParams, MasterKey> BfIbe::Setup(
 }
 
 EcPoint BfIbe::HashToPoint(const util::Bytes& identity) const {
-  std::string key(identity.begin(), identity.end());
-  {
-    std::lock_guard<std::mutex> lock(hash_cache_->mu);
-    auto it = hash_cache_->index.find(key);
-    if (it != hash_cache_->index.end()) {
-      hash_cache_->order.splice(hash_cache_->order.begin(),
-                                hash_cache_->order, it->second);
-      return it->second->second;
-    }
-  }
   // Try-and-increment: x = H(counter || id) interpreted in F_p, lifted
-  // through the cofactor. Terminates in ~2 expected iterations. Computed
-  // outside the lock — concurrent misses for the same identity just race
-  // benignly to insert the same value.
+  // through the cofactor. Terminates in ~2 expected iterations.
   const size_t flen = group_.FieldBytes();
-  EcPoint result;
   for (uint32_t counter = 0;; ++counter) {
     util::Bytes input = Tagged(kTagH1, identity);
     input.push_back(static_cast<uint8_t>(counter >> 24));
@@ -107,21 +77,8 @@ EcPoint BfIbe::HashToPoint(const util::Bytes& identity) const {
         crypto::HashExpand(crypto::HashKind::kSha256, input, flen);
     Fp x = Fp::FromBytes(group_.ctx(), xb);
     auto point = group_.LiftX(x);
-    if (point.ok()) {
-      result = point.value();
-      break;
-    }
+    if (point.ok()) return point.value();
   }
-  std::lock_guard<std::mutex> lock(hash_cache_->mu);
-  if (hash_cache_->index.find(key) == hash_cache_->index.end()) {
-    hash_cache_->order.emplace_front(key, result);
-    hash_cache_->index[key] = hash_cache_->order.begin();
-    if (hash_cache_->order.size() > HashCache::kCapacity) {
-      hash_cache_->index.erase(hash_cache_->order.back().first);
-      hash_cache_->order.pop_back();
-    }
-  }
-  return result;
 }
 
 IbePrivateKey BfIbe::Extract(const MasterKey& master,

@@ -133,13 +133,7 @@ class BfIbe {
   /// g_ID^r -> mask of `len` bytes (the H2 pad).
   util::Bytes PairingMask(const math::Fp2& g, size_t len) const;
 
-  /// Bounded LRU over identity -> H1(identity): deposit bursts for the
-  /// same attribute skip the try-and-increment lifting. Shared across
-  /// copies (guarded by its own mutex); see DESIGN.md §performance.
-  struct HashCache;
-
   const math::TypeAParams& group_;
-  std::shared_ptr<HashCache> hash_cache_;
 };
 
 /// IBE key-encapsulation: the hybrid construction the paper's protocol

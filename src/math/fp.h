@@ -17,17 +17,6 @@ namespace mws::math {
 /// allocation-free — this is the pairing's hot path.
 inline constexpr size_t kMaxFpLimbs = 16;
 
-/// Fields narrower than this square via the fused MontMul (its single
-/// accumulation pass beats the dedicated kernel's extra memory traffic
-/// on tiny operands); at and above it Fp::Sqr uses FpCtx::MontSqr.
-/// The crossover is compiler-sensitive: under the default -O2
-/// (RelWithDebInfo) build the kernel runs MontMul(a,a) in ~0.85x the
-/// time at 8 limbs and ~0.75x at 16; under -O3 GCC compiles the fused
-/// MontMul well enough that 8 limbs flips to a slight loss (~1.1x)
-/// and 16 limbs is parity. The threshold is tuned for the default
-/// build. Both paths are bit-identical (property-tested per preset).
-inline constexpr size_t kMontSqrMinLimbs = 5;
-
 namespace fp_internal {
 
 using u128 = unsigned __int128;
@@ -125,75 +114,6 @@ class FpCtx {
       fp_internal::SubN(t, p_limbs_.data(), out, n);
     } else {
       for (size_t j = 0; j < n; ++j) out[j] = t[j];
-    }
-  }
-
-  /// Montgomery squaring out = a*a*R^-1 mod p (SOS: square-then-reduce).
-  /// Bit-identical to MontMul(a, a) — both produce the canonical
-  /// representative — but computes only the n(n+1)/2 distinct limb
-  /// products, doubling the cross terms with one shift pass, so the
-  /// multiply count drops from 2n^2 to ~3n^2/2 + n. The separate
-  /// reduction phase keeps the accumulator exact (full 2n limbs), and
-  /// T + m*p < p^2 + R*p gives T' < 2p: one conditional subtraction
-  /// finishes. `out` may alias `a`. Below kMontSqrMinLimbs the fused
-  /// single-pass MontMul wins (less memory traffic); Fp::Sqr dispatches
-  /// on that threshold.
-  void MontSqr(const uint64_t* a, uint64_t* out) const {
-    using fp_internal::u128;
-    const size_t n = nlimbs_;
-    uint64_t t[2 * kMaxFpLimbs + 1];
-    for (size_t j = 0; j <= 2 * n; ++j) t[j] = 0;
-    // Distinct cross products a[i]*a[j], i < j, each computed once.
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t carry = 0;
-      for (size_t j = i + 1; j < n; ++j) {
-        u128 cur = static_cast<u128>(a[i]) * a[j] + t[i + j] + carry;
-        t[i + j] = static_cast<uint64_t>(cur);
-        carry = static_cast<uint64_t>(cur >> 64);
-      }
-      t[i + n] = carry;
-    }
-    // Double the cross terms: t[1..2n-1] <<= 1.
-    uint64_t top = 0;
-    for (size_t j = 1; j < 2 * n; ++j) {
-      uint64_t v = t[j];
-      t[j] = (v << 1) | top;
-      top = v >> 63;
-    }
-    t[2 * n] = top;
-    // Add the diagonal squares a[i]^2 at positions 2i, 2i+1.
-    uint64_t c = 0;
-    for (size_t i = 0; i < n; ++i) {
-      u128 sq = static_cast<u128>(a[i]) * a[i];
-      u128 lo = static_cast<u128>(t[2 * i]) + static_cast<uint64_t>(sq) + c;
-      t[2 * i] = static_cast<uint64_t>(lo);
-      u128 hi = static_cast<u128>(t[2 * i + 1]) +
-                static_cast<uint64_t>(sq >> 64) +
-                static_cast<uint64_t>(lo >> 64);
-      t[2 * i + 1] = static_cast<uint64_t>(hi);
-      c = static_cast<uint64_t>(hi >> 64);
-    }
-    t[2 * n] += c;
-    // Montgomery reduction: n passes of t += u*p; t >>= 64 (realized as
-    // a moving window — pass i reduces limb i in place).
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t u = t[i] * n0inv_;
-      uint64_t carry = 0;
-      for (size_t j = 0; j < n; ++j) {
-        u128 cur = static_cast<u128>(u) * p_limbs_[j] + t[i + j] + carry;
-        t[i + j] = static_cast<uint64_t>(cur);
-        carry = static_cast<uint64_t>(cur >> 64);
-      }
-      for (size_t k = i + n; carry != 0; ++k) {
-        u128 cur = static_cast<u128>(t[k]) + carry;
-        t[k] = static_cast<uint64_t>(cur);
-        carry = static_cast<uint64_t>(cur >> 64);
-      }
-    }
-    if (t[2 * n] != 0 || GeqP(t + n)) {
-      fp_internal::SubN(t + n, p_limbs_.data(), out, n);
-    } else {
-      for (size_t j = 0; j < n; ++j) out[j] = t[j + n];
     }
   }
 
@@ -372,11 +292,7 @@ class Fp {
   Fp Sqr() const {
     assert(valid());
     Fp out(ctx_);
-    if (ctx_->nlimbs() >= kMontSqrMinLimbs) {
-      ctx_->MontSqr(v_.data(), out.v_.data());
-    } else {
-      ctx_->MontMul(v_.data(), v_.data(), out.v_.data());
-    }
+    ctx_->MontMul(v_.data(), v_.data(), out.v_.data());
     return out;
   }
   /// a^e mod p, e >= 0.

@@ -5,25 +5,13 @@
 
 namespace mws::mws {
 
-namespace {
-
-/// The PolicyDb inherits the service-wide metrics sink unless the
-/// caller wired its own.
-store::PolicyDbOptions ResolvePolicyOptions(const MwsOptions& options) {
-  store::PolicyDbOptions policy = options.policy;
-  if (policy.metrics == nullptr) policy.metrics = options.metrics;
-  return policy;
-}
-
-}  // namespace
-
 MwsService::MwsService(store::Table* storage, util::Bytes mws_pkg_key,
                        const util::Clock* clock, util::RandomSource* rng,
                        MwsOptions options)
     : options_(options),
       rng_(rng),
       message_db_(storage, options.metrics),
-      policy_db_(storage, ResolvePolicyOptions(options)),
+      policy_db_(storage),
       user_db_(storage),
       device_keys_(storage),
       sda_(&device_keys_, clock, options.freshness_window_micros),

@@ -40,10 +40,6 @@ struct MwsOptions {
   /// Gatekeeper session-registry / replay-cache capacity tuning
   /// (stripes, bounds, reference mode).
   util::ControlPlaneTuning tuning;
-  /// Policy-database read-path tuning (ordered secondary index + AID
-  /// resolution cache). `policy.metrics` defaults to `metrics` above
-  /// when left null.
-  store::PolicyDbOptions policy;
 };
 
 /// The Message Warehousing Service: the composition of the architecture

@@ -57,9 +57,8 @@ struct PkgSession {
 /// util::TtlStore and the replay cache a util::ReplayCache, so
 /// concurrent authentications on distinct sessions touch disjoint
 /// locks; extraction itself runs lock-free on a session copy — the IBE
-/// layer's precompute tables are immutable and its H1 cache has its own
-/// lock. The injected RandomSource is wrapped in a util::LockedRandom
-/// internally.
+/// layer holds no mutable state. The injected RandomSource is wrapped in
+/// a util::LockedRandom internally.
 class PkgService {
  public:
   /// Runs IBE Setup on construction: draws the master secret for `group`.

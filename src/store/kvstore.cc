@@ -188,6 +188,7 @@ util::Status KvStore::Put(const std::string& key, const util::Bytes& value) {
     MWS_RETURN_IF_ERROR(AppendRecord(kKvRecordPut, key, value));
     shard.map[key] = value;
   }
+  MWS_RETURN_IF_ERROR(Flush());
   MaybeCompact();
   return util::Status::Ok();
 }
@@ -215,6 +216,7 @@ util::Status KvStore::PutBatch(
       shard.map[key] = value;
     }
   }
+  MWS_RETURN_IF_ERROR(Flush());
   MaybeCompact();
   return util::Status::Ok();
 }
@@ -237,6 +239,7 @@ util::Status KvStore::Delete(const std::string& key) {
     MWS_RETURN_IF_ERROR(AppendRecord(kKvRecordDelete, key, {}));
     shard.map.erase(key);
   }
+  MWS_RETURN_IF_ERROR(Flush());
   MaybeCompact();
   return util::Status::Ok();
 }

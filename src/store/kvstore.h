@@ -23,6 +23,10 @@ namespace mws::store {
 /// automatic `compact_threshold_bytes` trigger) checkpoints the live
 /// index and truncates the WAL.
 ///
+/// Crash model: each Put/PutBatch/Delete flushes its log bytes to the
+/// file (one flush per call) before returning, so an acknowledged write
+/// survives a killed process. Nothing calls fsync: not power loss.
+///
 /// Record framing: u8 type (1=put, 2=delete) | u32 klen | u32 vlen |
 /// key | value | u32 crc32(over all preceding fields). The checkpoint
 /// sidecar `<path>.ckpt` uses the same framing behind a magic + footer

@@ -51,23 +51,7 @@ util::Result<PolicyRow> DecodeRow(const util::Bytes& data) {
 
 }  // namespace
 
-PolicyDb::PolicyDb(Table* table, PolicyDbOptions options)
-    : table_(table), options_(options) {
-  size_t stripes = options_.aid_cache_stripes == 0 ? 1
-                                                   : options_.aid_cache_stripes;
-  if (options_.aid_cache_capacity > 0 &&
-      stripes > options_.aid_cache_capacity) {
-    stripes = options_.aid_cache_capacity;
-  }
-  cache_stripes_ = std::vector<CacheStripe>(stripes);
-  cache_per_stripe_cap_ =
-      (options_.aid_cache_capacity + stripes - 1) / stripes;
-  if (options_.metrics != nullptr) {
-    hits_counter_ = options_.metrics->GetCounter("policy.aid_cache_hits");
-    misses_counter_ = options_.metrics->GetCounter("policy.aid_cache_misses");
-  }
-  if (options_.enable_index) HydrateIndex();
-}
+PolicyDb::PolicyDb(Table* table) : table_(table) { HydrateIndex(); }
 
 void PolicyDb::HydrateIndex() {
   std::unique_lock<std::shared_mutex> index_lock(index_mutex_);
@@ -75,7 +59,7 @@ void PolicyDb::HydrateIndex() {
   exprs_.clear();
   for (const auto& [key, value] : table_->Scan("p/")) {
     auto row = DecodeRow(value);
-    if (!row.ok()) continue;  // scan paths surface the corruption
+    if (!row.ok()) continue;  // a corrupt row is never served
     grants_[{row->identity, row->attribute}] =
         IndexEntry{row->aid, row->origin};
   }
@@ -87,47 +71,6 @@ void PolicyDb::HydrateIndex() {
     std::string identity = key.substr(2, slash - 2);
     exprs_[{std::move(identity), seq}] = util::StringFromBytes(value);
   }
-}
-
-// --- AID LRU cache ---
-
-bool PolicyDb::CacheLookup(uint64_t aid, PolicyRow* row) const {
-  if (options_.aid_cache_capacity == 0) return false;
-  CacheStripe& stripe = CacheStripeFor(aid);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  auto it = stripe.map.find(aid);
-  if (it == stripe.map.end()) return false;
-  stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.second);
-  *row = it->second.first;
-  return true;
-}
-
-void PolicyDb::CacheInsert(const PolicyRow& row) const {
-  if (options_.aid_cache_capacity == 0) return;
-  CacheStripe& stripe = CacheStripeFor(row.aid);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  auto it = stripe.map.find(row.aid);
-  if (it != stripe.map.end()) {
-    it->second.first = row;
-    stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.second);
-    return;
-  }
-  stripe.lru.push_front(row.aid);
-  stripe.map.emplace(row.aid, std::make_pair(row, stripe.lru.begin()));
-  while (stripe.map.size() > cache_per_stripe_cap_) {
-    stripe.map.erase(stripe.lru.back());
-    stripe.lru.pop_back();
-  }
-}
-
-void PolicyDb::CacheInvalidate(uint64_t aid) const {
-  if (options_.aid_cache_capacity == 0) return;
-  CacheStripe& stripe = CacheStripeFor(aid);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  auto it = stripe.map.find(aid);
-  if (it == stripe.map.end()) return;
-  stripe.lru.erase(it->second.second);
-  stripe.map.erase(it);
 }
 
 // --- Mutations ---
@@ -152,7 +95,7 @@ util::Result<uint64_t> PolicyDb::Grant(const std::string& identity,
   MWS_RETURN_IF_ERROR(table_->Put(key, EncodeRow(row)));
   // Index right after the grant row lands so a failure of the remaining
   // writes leaves index and table agreeing on row visibility.
-  if (options_.enable_index) {
+  {
     std::unique_lock<std::shared_mutex> index_lock(index_mutex_);
     grants_[{identity, attribute}] = IndexEntry{aid, origin};
   }
@@ -177,13 +120,12 @@ util::Status PolicyDb::RevokeLocked(const std::string& identity,
   MWS_ASSIGN_OR_RETURN(PolicyRow row, DecodeRow(raw.value()));
   MWS_RETURN_IF_ERROR(table_->Delete(key));
   // Fail-closed alongside the grant row: even if the AID-row delete
-  // below fails, neither index nor cache may keep serving the grant —
-  // the PKG would otherwise keep issuing keys for a revoked AID.
-  if (options_.enable_index) {
+  // below fails, the index may not keep serving the grant — the PKG
+  // would otherwise keep issuing keys for a revoked AID.
+  {
     std::unique_lock<std::shared_mutex> index_lock(index_mutex_);
     grants_.erase({identity, attribute});
   }
-  CacheInvalidate(row.aid);
   return table_->Delete(AidKey(row.aid));
 }
 
@@ -196,7 +138,6 @@ bool PolicyDb::HasAccess(const std::string& identity,
 
 util::Result<std::vector<PolicyRow>> PolicyDb::RowsForIdentity(
     const std::string& identity) const {
-  if (!options_.enable_index) return RowsForIdentityScan(identity);
   std::vector<PolicyRow> out;
   std::shared_lock<std::shared_mutex> index_lock(index_mutex_);
   for (auto it = grants_.lower_bound({identity, std::string()});
@@ -218,20 +159,6 @@ util::Result<std::vector<PolicyRow>> PolicyDb::RowsForIdentityScan(
 }
 
 util::Result<PolicyRow> PolicyDb::RowForAid(uint64_t aid) const {
-  PolicyRow cached;
-  if (CacheLookup(aid, &cached)) {
-    aid_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (hits_counter_ != nullptr) hits_counter_->Increment();
-    return cached;
-  }
-  aid_cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  if (misses_counter_ != nullptr) misses_counter_->Increment();
-  MWS_ASSIGN_OR_RETURN(PolicyRow row, RowForAidUncached(aid));
-  CacheInsert(row);
-  return row;
-}
-
-util::Result<PolicyRow> PolicyDb::RowForAidUncached(uint64_t aid) const {
   MWS_ASSIGN_OR_RETURN(util::Bytes raw, table_->Get(AidKey(aid)));
   return DecodeRow(raw);
 }
@@ -244,7 +171,6 @@ util::Result<PolicyRow> PolicyDb::RowFor(const std::string& identity,
 }
 
 util::Result<std::vector<PolicyRow>> PolicyDb::AllRows() const {
-  if (!options_.enable_index) return AllRowsScan();
   std::vector<PolicyRow> out;
   std::shared_lock<std::shared_mutex> index_lock(index_mutex_);
   out.reserve(grants_.size());
@@ -281,10 +207,8 @@ util::Result<uint64_t> PolicyDb::GrantExpression(
   util::Writer w;
   w.PutU64(seq + 1);
   MWS_RETURN_IF_ERROR(table_->Put(kNextExprKey, w.Take()));
-  if (options_.enable_index) {
-    std::unique_lock<std::shared_mutex> index_lock(index_mutex_);
-    exprs_[{identity, seq}] = expression;
-  }
+  std::unique_lock<std::shared_mutex> index_lock(index_mutex_);
+  exprs_[{identity, seq}] = expression;
   return seq;
 }
 
@@ -296,7 +220,7 @@ util::Status PolicyDb::RevokeExpression(const std::string& identity,
     return util::Status::NotFound("expression not present");
   }
   MWS_RETURN_IF_ERROR(table_->Delete(key));
-  if (options_.enable_index) {
+  {
     std::unique_lock<std::shared_mutex> index_lock(index_mutex_);
     exprs_.erase({identity, seq});
   }
@@ -313,7 +237,6 @@ util::Status PolicyDb::RevokeExpression(const std::string& identity,
 
 util::Result<std::vector<std::pair<uint64_t, std::string>>>
 PolicyDb::ExpressionsForIdentity(const std::string& identity) const {
-  if (!options_.enable_index) return ExpressionsForIdentityScan(identity);
   std::vector<std::pair<uint64_t, std::string>> out;
   std::shared_lock<std::shared_mutex> index_lock(index_mutex_);
   for (auto it = exprs_.lower_bound({identity, 0});

@@ -1,17 +1,13 @@
 #ifndef MWSIBE_STORE_POLICY_DB_H_
 #define MWSIBE_STORE_POLICY_DB_H_
 
-#include <atomic>
-#include <list>
 #include <map>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/store/table.h"
 
 namespace mws::store {
@@ -33,35 +29,16 @@ struct PolicyRow {
   }
 };
 
-/// Read-path tuning of the Policy Database.
-struct PolicyDbOptions {
-  /// Maintain an in-memory ordered secondary index over (identity,
-  /// attribute) and over expressions, hydrated from the table at
-  /// construction and updated transactionally with every mutation.
-  /// Identity-scoped reads become one O(log n + k) range walk instead
-  /// of a prefix scan that visits every shard of the backing KvStore.
-  /// false routes reads to the retained scan paths (the E20 baseline).
-  bool enable_index = true;
-  /// Entries of the AID -> row resolution LRU fronting RowForAid (the
-  /// token-issuance hot lookup). 0 disables the cache. Invalidated on
-  /// Revoke, so a cached row is never served for a revoked AID.
-  size_t aid_cache_capacity = 4096;
-  /// Lock stripes of the AID cache.
-  size_t aid_cache_stripes = 16;
-  /// Optional instrumentation (must outlive the PolicyDb). Exposes
-  /// `policy.aid_cache_hits` / `policy.aid_cache_misses`.
-  obs::Registry* metrics = nullptr;
-};
-
 /// The Policy Database (PD component, Fig. 3): identity<->attribute
 /// mappings plus the AID indirection that hides attribute strings from
 /// receiving clients.
 ///
 /// Thread-safe on top of a thread-safe Table: mutations (Grant/Revoke
 /// and the expression variants) serialize behind one mutex so the AID
-/// and expression counters never hand out duplicates; reads go through
-/// the in-memory index under a shared lock (or straight to the table
-/// when the index is disabled). Concurrent Grant calls for the same
+/// and expression counters never hand out duplicates; range reads go
+/// through the in-memory ordered index under a shared lock (one
+/// O(log n + k) walk, not a prefix scan over every KvStore shard), point
+/// reads straight to the table. Concurrent Grant calls for the same
 /// (identity, attribute) are resolved to exactly one row — losers get
 /// AlreadyExists, same as the sequential API.
 ///
@@ -71,8 +48,8 @@ struct PolicyDbOptions {
 class PolicyDb {
  public:
   /// Borrows `table`; the table must outlive the PolicyDb. Hydrates the
-  /// index from existing rows when enabled.
-  explicit PolicyDb(Table* table, PolicyDbOptions options = {});
+  /// index from existing rows.
+  explicit PolicyDb(Table* table);
 
   /// Grants `identity` access to `attribute`; returns the fresh AID.
   /// AlreadyExists if the grant is present. `origin` tags rows
@@ -97,9 +74,9 @@ class PolicyDb {
   util::Result<PolicyRow> RowFor(const std::string& identity,
                                  const std::string& attribute) const;
 
-  /// Resolves an AID back to its row (the PKG-side lookup when building
-  /// tickets). NotFound for revoked/unknown AIDs. Served from the LRU
-  /// cache when hot.
+  /// Resolves an AID back to its row: one table point lookup. NotFound
+  /// for revoked/unknown AIDs. (The PKG never calls this: it resolves
+  /// AIDs from the MWS-issued ticket.)
   util::Result<PolicyRow> RowForAid(uint64_t aid) const;
 
   /// The full table, ordered by identity then attribute — exactly the
@@ -131,19 +108,10 @@ class PolicyDb {
   /// ExpressionsForIdentity via a table prefix scan.
   util::Result<std::vector<std::pair<uint64_t, std::string>>>
   ExpressionsForIdentityScan(const std::string& identity) const;
-  /// RowForAid via a direct table point lookup (no cache).
-  util::Result<PolicyRow> RowForAidUncached(uint64_t aid) const;
-
-  uint64_t AidCacheHits() const {
-    return aid_cache_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t AidCacheMisses() const {
-    return aid_cache_misses_.load(std::memory_order_relaxed);
-  }
 
  private:
-  /// Core of Revoke: deletes both table rows, then drops the index
-  /// entry and invalidates the AID cache. Pre: write_mutex_ held.
+  /// Core of Revoke: deletes the grant row, drops the index entry, then
+  /// deletes the AID row. Pre: write_mutex_ held.
   util::Status RevokeLocked(const std::string& identity,
                             const std::string& attribute);
 
@@ -153,32 +121,12 @@ class PolicyDb {
     uint64_t origin = 0;
   };
 
-  /// One stripe of the AID -> row LRU.
-  struct CacheStripe {
-    std::mutex mutex;
-    /// Front = most recently used.
-    std::list<uint64_t> lru;
-    std::unordered_map<uint64_t,
-                       std::pair<PolicyRow, std::list<uint64_t>::iterator>>
-        map;
-
-    CacheStripe() = default;
-    CacheStripe(CacheStripe&&) noexcept {}  // only used during construction
-  };
-
-  CacheStripe& CacheStripeFor(uint64_t aid) const {
-    return cache_stripes_[aid % cache_stripes_.size()];
-  }
-  void CacheInsert(const PolicyRow& row) const;
-  bool CacheLookup(uint64_t aid, PolicyRow* row) const;
-  void CacheInvalidate(uint64_t aid) const;
-
-  /// Scans the table and (re)builds grants_/exprs_. Rows that fail to
-  /// decode are skipped — the scan read paths surface the corruption.
+  /// Scans the table and (re)builds grants_/exprs_. A row that fails to
+  /// decode is skipped, so the index never serves it; production reads
+  /// never run the scan paths, so nothing else reports it.
   void HydrateIndex();
 
   Table* table_;
-  PolicyDbOptions options_;
   /// Serializes mutations (counter read-modify-write + row writes).
   std::mutex write_mutex_;
 
@@ -187,14 +135,6 @@ class PolicyDb {
   mutable std::shared_mutex index_mutex_;
   std::map<std::pair<std::string, std::string>, IndexEntry> grants_;
   std::map<std::pair<std::string, uint64_t>, std::string> exprs_;
-
-  /// AID resolution cache (mutable: lookups reorder the LRU).
-  mutable std::vector<CacheStripe> cache_stripes_;
-  size_t cache_per_stripe_cap_ = 0;
-  mutable std::atomic<uint64_t> aid_cache_hits_{0};
-  mutable std::atomic<uint64_t> aid_cache_misses_{0};
-  obs::Counter* hits_counter_ = nullptr;
-  obs::Counter* misses_counter_ = nullptr;
 };
 
 }  // namespace mws::store

@@ -1,8 +1,8 @@
 // Control-plane scaling tests (`ctest -L control`): the striped
 // TTL-evicting session registries and bounded replay caches behind the
-// Gatekeeper and the PKG, the policy database's ordered secondary index
-// and invalidate-on-Revoke AID cache, and TSan-clean stress over the
-// concurrent auth / token-issuance / AID-resolution / revoke hot paths.
+// Gatekeeper and the PKG, the policy database's ordered secondary
+// index, and TSan-clean stress over the concurrent auth /
+// token-issuance / AID-resolution / revoke hot paths.
 
 #include <gtest/gtest.h>
 
@@ -170,22 +170,19 @@ TEST(ReplayCacheTest, CapacityBoundEvictsOldestAndCounts) {
 // --- Gatekeeper / PKG harness ---
 
 struct MwsHarness {
-  explicit MwsHarness(util::ControlPlaneTuning tuning = {},
-                      store::PolicyDbOptions policy = {})
+  explicit MwsHarness(util::ControlPlaneTuning tuning = {})
       : storage(store::KvStore::Open({.path = ""}).value()),
         clock(1'000'000'000),
         rng(7),
         mws_pkg_key(Bytes(32, 0x5a)),
         service(storage.get(), mws_pkg_key, &clock, &rng,
-                MakeOptions(&metrics, tuning, policy)) {}
+                MakeOptions(&metrics, tuning)) {}
 
   static mws::MwsOptions MakeOptions(obs::Registry* m,
-                                     util::ControlPlaneTuning t,
-                                     store::PolicyDbOptions p) {
+                                     util::ControlPlaneTuning t) {
     mws::MwsOptions o;
     o.metrics = m;
     o.tuning = t;
-    o.policy = p;
     return o;
   }
 
@@ -399,7 +396,7 @@ TEST(ControlPlanePkgTest, SweepExpiredSessionsReaps) {
   EXPECT_EQ(*snap.gauge("pkg.sessions"), 0);
 }
 
-// --- PolicyDb secondary index + AID cache ---
+// --- PolicyDb secondary index ---
 
 /// Asserts every index-served read agrees with its retained scan path.
 void ExpectIndexMatchesScans(const store::PolicyDb& db,
@@ -416,7 +413,7 @@ void ExpectIndexMatchesScans(const store::PolicyDb& db,
         << id;
   }
   for (const store::PolicyRow& row : all) {
-    EXPECT_EQ(db.RowForAid(row.aid).value(), db.RowForAidUncached(row.aid).value());
+    EXPECT_EQ(db.RowForAid(row.aid).value(), row);
   }
 }
 
@@ -462,54 +459,12 @@ TEST(PolicyDbIndexTest, HydratesIndexFromExistingTable) {
   // The AID counter continues where the first instance left off.
   uint64_t fresh = db.Grant("RC3", "A1").value();
   for (uint64_t aid : aids) EXPECT_NE(fresh, aid);
-}
-
-TEST(PolicyDbIndexTest, AidCacheServesHotRowsAndInvalidatesOnRevoke) {
-  auto storage = store::KvStore::Open({.path = ""}).value();
-  obs::Registry metrics;
-  store::PolicyDb db(storage.get(), {.metrics = &metrics});
-  uint64_t aid = db.Grant("RC1", "A1").value();
-  store::PolicyRow expected{"RC1", "A1", aid, 0};
-  EXPECT_EQ(db.RowForAid(aid).value(), expected);  // miss, fills cache
-  EXPECT_EQ(db.RowForAid(aid).value(), expected);  // hit
-  EXPECT_EQ(db.AidCacheMisses(), 1u);
-  EXPECT_EQ(db.AidCacheHits(), 1u);
-  auto snap = metrics.Snapshot();
-  ASSERT_NE(snap.counter("policy.aid_cache_hits"), nullptr);
-  EXPECT_EQ(*snap.counter("policy.aid_cache_hits"), 1u);
-  EXPECT_EQ(*snap.counter("policy.aid_cache_misses"), 1u);
-  // Revoke must invalidate: a hot cache entry may never outlive the
-  // grant (the PKG would keep extracting keys for a revoked AID).
-  ASSERT_TRUE(db.Revoke("RC1", "A1").ok());
-  EXPECT_TRUE(db.RowForAid(aid).status().IsNotFound());
-  // Re-granting issues a fresh AID; the old one stays dead.
-  uint64_t fresh = db.Grant("RC1", "A1").value();
-  EXPECT_NE(fresh, aid);
-  EXPECT_TRUE(db.RowForAid(aid).status().IsNotFound());
-  EXPECT_EQ(db.RowForAid(fresh).value().aid, fresh);
-}
-
-TEST(PolicyDbIndexTest, CacheDisabledStillResolves) {
-  auto storage = store::KvStore::Open({.path = ""}).value();
-  store::PolicyDb db(storage.get(), {.aid_cache_capacity = 0});
-  uint64_t aid = db.Grant("RC1", "A1").value();
-  EXPECT_EQ(db.RowForAid(aid).value().attribute, "A1");
-  EXPECT_EQ(db.RowForAid(aid).value().attribute, "A1");
-  EXPECT_EQ(db.AidCacheHits(), 0u);  // nothing is ever cached
-}
-
-TEST(PolicyDbIndexTest, IndexDisabledRoutesReadsToScans) {
-  auto storage = store::KvStore::Open({.path = ""}).value();
-  store::PolicyDb db(storage.get(), {.enable_index = false});
-  ASSERT_TRUE(db.Grant("RC1", "A1").ok());
-  ASSERT_TRUE(db.Grant("RC1", "A2").ok());
-  ASSERT_TRUE(db.Revoke("RC1", "A1").ok());
-  auto rows = db.RowsForIdentity("RC1").value();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].attribute, "A2");
-  EXPECT_EQ(db.RowsForIdentity("RC1").value(),
-            db.RowsForIdentityScan("RC1").value());
-  EXPECT_EQ(db.AllRows().value(), db.AllRowsScan().value());
+  // Re-granting the revoked pair issues a fresh AID; the old one stays
+  // dead.
+  uint64_t regranted = db.Grant("RC1", "A2").value();
+  EXPECT_TRUE(db.RowForAid(aids[1]).status().IsNotFound());
+  EXPECT_EQ(db.RowForAid(regranted).value(),
+            (store::PolicyRow{"RC1", "A2", regranted, 0}));
 }
 
 // --- Concurrency stress (run under TSan by the sanitizer jobs) ---
@@ -622,8 +577,7 @@ TEST(ControlPlaneStressTest, ConcurrentAuthIssueResolveRevoke) {
 
 TEST(ControlPlaneStressTest, ConcurrentPolicyIndexAndCacheStayConsistent) {
   auto storage = store::KvStore::Open({.path = ""}).value();
-  store::PolicyDb db(storage.get(),
-                     {.aid_cache_capacity = 64, .aid_cache_stripes = 4});
+  store::PolicyDb db(storage.get());
   constexpr int kIters = 60;
   std::vector<std::thread> threads;
   // Writer threads churn disjoint identities.
@@ -656,9 +610,9 @@ TEST(ControlPlaneStressTest, ConcurrentPolicyIndexAndCacheStayConsistent) {
         for (const auto& row : rows) {
           // A row revoked between the listing and the lookup resolves
           // to NotFound; both outcomes must agree with the table.
-          auto cached = db.RowForAid(row.aid);
-          if (cached.ok()) {
-            EXPECT_EQ(cached.value().aid, row.aid);
+          auto resolved = db.RowForAid(row.aid);
+          if (resolved.ok()) {
+            EXPECT_EQ(resolved.value().aid, row.aid);
           }
         }
         (void)db.RowsForIdentity("W0");

@@ -106,56 +106,6 @@ TEST_P(MathPresetTest, LazyFp2KernelsMatchReferenceSweep) {
   }
 }
 
-TEST_P(MathPresetTest, MontSqrBitIdenticalToMontMulSweep) {
-  // The dedicated squaring kernel (SOS: distinct products + doubling +
-  // separate reduction) must be bit-identical to the fused-CIOS
-  // MontMul(a, a) at every preset limb count: both produce the
-  // canonical Montgomery representative of a^2 * R^-1.
-  const FpCtx* ctx = P().ctx();
-  const size_t n = ctx->nlimbs();
-  DeterministicRandom rng(31);
-  auto to_limbs = [&](const BigInt& v) {
-    std::array<uint64_t, kMaxFpLimbs> out{};
-    const auto& limbs = v.limbs();
-    for (size_t i = 0; i < limbs.size(); ++i) out[i] = limbs[i];
-    return out;
-  };
-  std::vector<BigInt> values = {BigInt(0), BigInt(1), BigInt(2),
-                                P().p() - BigInt(1), P().p() - BigInt(2)};
-  // Sparse limb patterns (single set bits near limb boundaries) stress
-  // the carry chains of the doubling and reduction passes.
-  for (size_t shift : {1u, 63u, 64u, 65u, 127u, 128u}) {
-    if (shift >= P().p().BitLength()) continue;
-    values.push_back(BigInt(1) << shift);
-    values.push_back(P().p() - (BigInt(1) << shift));
-  }
-  for (int i = 0; i < 40; ++i) {
-    values.push_back(BigInt::RandomBelow(rng, P().p()));
-  }
-  for (const BigInt& v : values) {
-    auto raw = to_limbs(v);
-    std::array<uint64_t, kMaxFpLimbs> mont{}, sq{}, ref{};
-    ctx->MontMul(raw.data(), ctx->r2(), mont.data());  // to Montgomery form
-    ctx->MontSqr(mont.data(), sq.data());
-    ctx->MontMul(mont.data(), mont.data(), ref.data());
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(sq[i], ref[i]) << "limb " << i << " of 0x" << v.ToHex();
-    }
-    // In-place squaring (out aliases a) must agree as well.
-    std::array<uint64_t, kMaxFpLimbs> alias = mont;
-    ctx->MontSqr(alias.data(), alias.data());
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(alias[i], ref[i]) << "aliased limb " << i;
-    }
-  }
-  // The dispatched Fp::Sqr (threshold fallback included) agrees with
-  // the plain product at this preset.
-  for (int i = 0; i < 8; ++i) {
-    Fp a = Fp::FromBigInt(ctx, BigInt::RandomBelow(rng, P().p()));
-    EXPECT_EQ(a.Sqr(), a * a);
-  }
-}
-
 TEST_P(MathPresetTest, PairingConsistentWithScalars) {
   DeterministicRandom rng(11);
   const EcPoint& g = P().generator();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/math/params.h"
 #include "src/util/random.h"
 
@@ -8,11 +10,17 @@ namespace {
 
 using util::DeterministicRandom;
 
+// gtest names each instance with the raw bytes of its PresetCase, so the
+// struct carries no padding: `reserved` keeps those bytes defined and the
+// test names identical from build to build.
 struct PresetCase {
   ParamPreset preset;
+  uint32_t reserved = 0;
   size_t qbits;
   size_t pbits;
 };
+static_assert(sizeof(PresetCase) ==
+              sizeof(ParamPreset) + sizeof(uint32_t) + 2 * sizeof(size_t));
 
 class ParamsPresetTest : public ::testing::TestWithParam<PresetCase> {};
 
@@ -53,9 +61,10 @@ TEST_P(ParamsPresetTest, SizesConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPresets, ParamsPresetTest,
-    ::testing::Values(PresetCase{ParamPreset::kSmall, 80, 256},
-                      PresetCase{ParamPreset::kTest, 160, 512},
-                      PresetCase{ParamPreset::kLarge, 224, 1024}),
+    ::testing::Values(
+        PresetCase{.preset = ParamPreset::kSmall, .qbits = 80, .pbits = 256},
+        PresetCase{.preset = ParamPreset::kTest, .qbits = 160, .pbits = 512},
+        PresetCase{.preset = ParamPreset::kLarge, .qbits = 224, .pbits = 1024}),
     [](const ::testing::TestParamInfo<PresetCase>& info) {
       return "q" + std::to_string(info.param.qbits);
     });

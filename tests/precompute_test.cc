@@ -246,26 +246,6 @@ TEST_F(PrecomputeTest, Fp2PowMatchesBinaryReference) {
   EXPECT_EQ(base.Pow(BigInt(1)), base);
 }
 
-TEST_F(PrecomputeTest, HashToPointLruIsTransparent) {
-  BfIbe ibe(P());
-  BfIbe fresh(P());
-  Bytes id = BytesFromString("METER-7");
-  EcPoint first = ibe.HashToPoint(id);
-  // Cache hit returns the identical point.
-  EXPECT_EQ(ibe.HashToPoint(id), first);
-  // A separate instance (separate cache) computes the same value.
-  EXPECT_EQ(fresh.HashToPoint(id), first);
-  // Push well past the 64-entry capacity so `id` is evicted, then make
-  // sure the recomputed value still matches.
-  for (int i = 0; i < 100; ++i) {
-    ibe.HashToPoint(BytesFromString("filler-" + std::to_string(i)));
-  }
-  EXPECT_EQ(ibe.HashToPoint(id), first);
-  // Evicted-then-recomputed fillers also stay stable.
-  EXPECT_EQ(ibe.HashToPoint(BytesFromString("filler-0")),
-            fresh.HashToPoint(BytesFromString("filler-0")));
-}
-
 TEST_F(PrecomputeTest, EncryptionBitIdenticalWithAndWithoutPrecompute) {
   BfIbe ibe(P());
   HmacDrbg setup_rng(BytesFromString("precompute-setup"));

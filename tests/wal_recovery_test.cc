@@ -164,6 +164,34 @@ TEST_F(WalRecoveryTest, DeletesAndOverwritesReplayInOrder) {
   EXPECT_FALSE(store->Contains("b"));
 }
 
+// A killed process loses whatever its stream buffers still hold. A
+// second Open of the path while the first store is alive (and has never
+// been flushed or closed) reads exactly what such a restart would: every
+// acknowledged Put, PutBatch and Delete must already be there.
+TEST_F(WalRecoveryTest, AckedWritesSurviveAKilledProcess) {
+  constexpr size_t kRecords = 5;
+  auto live = KvStore::Open({.path = path_}).value();
+  for (size_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(live->Put(Key(i), Value(i)).ok());
+  }
+  {
+    auto restarted = KvStore::Open({.path = path_}).value();
+    EXPECT_FALSE(restarted->recovery_stats().torn_tail);
+    ASSERT_EQ(restarted->Size(), kRecords);
+    for (size_t i = 0; i < kRecords; ++i) {
+      EXPECT_EQ(restarted->Get(Key(i)).value(), Value(i)) << "record=" << i;
+    }
+  }
+  ASSERT_TRUE(live->PutBatch({{Key(kRecords), Value(kRecords)},
+                              {Key(kRecords + 1), Value(kRecords + 1)}})
+                  .ok());
+  ASSERT_TRUE(live->Delete(Key(0)).ok());
+  auto restarted = KvStore::Open({.path = path_}).value();
+  EXPECT_EQ(restarted->Size(), kRecords + 1);
+  EXPECT_FALSE(restarted->Contains(Key(0)));
+  EXPECT_EQ(restarted->Get(Key(kRecords + 1)).value(), Value(kRecords + 1));
+}
+
 // --- Compaction crash states ---
 //
 // The compaction protocol has exactly three externally visible states:

@@ -6,7 +6,9 @@
 #
 # Usage: tools/bench_all.sh [BUILD_DIR] [--smoke]
 #
-#   BUILD_DIR  cmake build tree holding bench/ (default: ./build)
+#   BUILD_DIR  cmake build tree holding bench/ (default: ./build); it must
+#              be configured with -DCMAKE_BUILD_TYPE=Release, e.g.
+#              cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 #   --smoke    pass --smoke to every bench (short run, same artifacts)
 #
 # JSON-emitting benches write into bench/BENCH_<exp>.json in the source
@@ -30,6 +32,10 @@ git_commit="$(git -C "$repo_dir" rev-parse HEAD 2>/dev/null || echo unknown)"
 git_dirty=false
 [ -n "$(git -C "$repo_dir" status --porcelain 2>/dev/null)" ] && git_dirty=true
 build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "${build_dir}/CMakeCache.txt" 2>/dev/null || true)"
+if [ "$build_type" != "Release" ]; then
+  echo "build tree ${build_dir} is '${build_type:-unset}', not Release: BENCH artifacts come only from Release builds" >&2
+  exit 1
+fi
 cxx_flags="$(sed -n 's/^CMAKE_CXX_FLAGS:[^=]*=//p' "${build_dir}/CMakeCache.txt" 2>/dev/null || true)"
 threads="$(nproc 2>/dev/null || echo 1)"
 run_utc="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
