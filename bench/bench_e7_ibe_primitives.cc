@@ -402,34 +402,6 @@ std::vector<Row> MeasureFastPaths(const TypeAParams& group, bool smoke) {
            },
            min_iters, min_ms)});
 
-  // Bulk BasicIdent decryption under one key: DecryptMany (shared
-  // precomp + batched final exp) vs a per-message Decrypt loop. Both
-  // columns are ns per 8-message batch.
-  {
-    Bytes bulk_id = BytesFromString("bulk-bench");
-    mws::ibe::IbePrivateKey bulk_key = ibe.Extract(master, bulk_id);
-    std::vector<BasicCiphertext> cts;
-    for (size_t i = 0; i < kBatch; ++i) {
-      cts.push_back(ibe.Encrypt(params, bulk_id,
-                                BytesFromString("bulk message payload"),
-                                rng));
-    }
-    rows.push_back(
-        {"bulk_decrypt_basic_8",
-         MeasureNs([&] { benchmark::DoNotOptimize(
-                             ibe.DecryptMany(params, bulk_key, cts)); },
-                   min_iters, min_ms),
-         MeasureNs(
-             [&] {
-               std::vector<Bytes> out;
-               for (const BasicCiphertext& ct : cts) {
-                 out.push_back(ibe.Decrypt(params, bulk_key, ct));
-               }
-               benchmark::DoNotOptimize(out);
-             },
-             min_iters, min_ms)});
-  }
-
   rows.push_back(
       {"fp2_pow_window",
        MeasureNs([&] { benchmark::DoNotOptimize(

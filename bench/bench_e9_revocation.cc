@@ -49,7 +49,8 @@ BENCHMARK(BM_RevokeGrantRound);
 
 /// The running cost revocation imposes: every message needs its own PKG
 /// extraction (fresh nonce => fresh key). This measures an RC draining a
-/// backlog of N messages: N extract round trips + N decryptions.
+/// backlog of N messages through FetchAndDecrypt: N extractions in one
+/// batched PKG round trip, then N decryptions on up to 4 threads.
 void BM_PerMessageExtractionCost(benchmark::State& state) {
   auto s = UtilityScenario::Create({}).value();
   s->DepositReadings(state.range(0)).value();

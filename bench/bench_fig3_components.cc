@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "src/crypto/drbg.h"
 #include "src/ibe/bf_ibe.h"
@@ -91,8 +92,9 @@ void BM_Component_MmsFetch(benchmark::State& state) {
   auto s = NewScenario();
   s->DepositReadings(state.range(0)).value();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        s->mws().mms().FetchFor(UtilityScenario::kCServices, 0));
+    benchmark::DoNotOptimize(s->mws().mms().FetchChunkFor(
+        UtilityScenario::kCServices, 0, 0, 0,
+        std::numeric_limits<uint32_t>::max()));
   }
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(std::to_string(3 * state.range(0)) + " stored messages");

@@ -1,13 +1,11 @@
 #include "src/client/receiving_client.h"
 
+#include <algorithm>
 #include <atomic>
-#include <map>
-#include <optional>
 #include <thread>
 
 #include "src/crypto/modes.h"
 #include "src/crypto/sealed_box.h"
-#include "src/math/precompute.h"
 #include "src/wire/auth.h"
 
 namespace mws::client {
@@ -231,83 +229,24 @@ util::Result<std::vector<ReceivedMessage>> ReceivingClient::DecryptAll(
                        RequestKeysBatch(items));
   for (const auto& key : keys) MWS_RETURN_IF_ERROR(key.status());
 
-  // Group message indices by extracted key point. Under nonce-per-message
-  // keying the groups are usually singletons, but retransmitted or
-  // multi-chunk duplicates of one (AID, nonce) do share a key — and the
-  // Miller-loop lines of e(d, ·) depend on d alone, so such a group pays
-  // the point arithmetic once via a shared PairingPrecomp.
-  std::map<util::Bytes, std::vector<size_t>> groups;
-  for (size_t i = 0; i < messages.size(); ++i) {
-    groups[params_.group->curve().SerializeCompressed(keys[i].value().d)]
-        .push_back(i);
-  }
-  std::vector<std::vector<size_t>> group_list;
-  group_list.reserve(groups.size());
-  for (auto& [serialized, indices] : groups) {
-    group_list.push_back(std::move(indices));
-  }
-
-  // Fan the pairing-heavy decryptions across a small worker pool. Slots
-  // are disjoint per group, so workers never touch the same entry.
+  // Fan the pairing-heavy decryptions across a small worker pool. Each
+  // worker claims whole messages, so no two touch the same slot.
   std::vector<util::Result<util::Bytes>> plains(
       messages.size(), util::Status::Internal("not decrypted"));
-  std::atomic<size_t> next_group{0};
+  std::atomic<size_t> next{0};
   auto work = [&] {
-    for (;;) {
-      size_t g = next_group.fetch_add(1, std::memory_order_relaxed);
-      if (g >= group_list.size()) return;
-      const std::vector<size_t>& indices = group_list[g];
-      const ibe::IbePrivateKey& key = keys[indices[0]].value();
-      if (indices.size() < 2) {
-        size_t i = indices[0];
-        auto u = params_.group->curve().Deserialize(messages[i].u);
-        if (!u.ok()) {
-          plains[i] = u.status();
-          continue;
-        }
-        plains[i] = sealer_.Open(
-            key, ibe::HybridCiphertext{u.value(), messages[i].ciphertext});
-        continue;
-      }
-      // Shared-key group: the Miller lines of e(d, .) depend on d alone,
-      // so one PairingPrecomp serves every message, and PairingMany runs
-      // the whole group through one batched final exponentiation (the
-      // per-value easy-part inversions collapse into a single field
-      // inversion via Montgomery's trick).
-      math::PairingPrecomp precomp(*params_.group, key.d);
-      std::vector<size_t> ok_indices;
-      std::vector<math::EcPoint> us;
-      ok_indices.reserve(indices.size());
-      us.reserve(indices.size());
-      for (size_t i : indices) {
-        auto u = params_.group->curve().Deserialize(messages[i].u);
-        if (!u.ok()) {
-          plains[i] = u.status();
-          continue;
-        }
-        ok_indices.push_back(i);
-        us.push_back(u.value());
-      }
-      std::vector<math::Fp2> gs = precomp.PairingMany(us);
-      for (size_t k = 0; k < ok_indices.size(); ++k) {
-        size_t i = ok_indices[k];
-        plains[i] = sealer_.OpenWithPairing(
-            gs[k], ibe::HybridCiphertext{us[k], messages[i].ciphertext});
-      }
+    for (size_t i = next++; i < messages.size(); i = next++) {
+      plains[i] = DecryptMessage(messages[i], keys[i].value());
     }
   };
   unsigned hw = std::thread::hardware_concurrency();
   size_t worker_count = std::min(
-      {group_list.size(), static_cast<size_t>(hw == 0 ? 1 : hw), size_t{4}});
-  if (worker_count <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(worker_count - 1);
-    for (size_t t = 0; t + 1 < worker_count; ++t) threads.emplace_back(work);
-    work();
-    for (std::thread& t : threads) t.join();
-  }
+      {messages.size(), static_cast<size_t>(hw == 0 ? 1 : hw), size_t{4}});
+  std::vector<std::thread> threads;
+  threads.reserve(worker_count - 1);
+  for (size_t t = 0; t + 1 < worker_count; ++t) threads.emplace_back(work);
+  work();
+  for (std::thread& t : threads) t.join();
 
   std::vector<ReceivedMessage> out;
   out.reserve(messages.size());
@@ -325,32 +264,7 @@ util::Result<std::vector<ReceivedMessage>> ReceivingClient::FetchAndDecrypt(
   MWS_ASSIGN_OR_RETURN(wire::RetrieveResponse retrieved,
                        Retrieve(after_id, from_micros, to_micros));
   MWS_RETURN_IF_ERROR(AuthenticateWithPkg(retrieved.token));
-  std::vector<ReceivedMessage> out;
-  out.reserve(retrieved.messages.size());
-  if (retrieved.messages.size() > 1) {
-    // Amortize the PKG round trips: one batched extraction.
-    std::vector<std::pair<uint64_t, util::Bytes>> items;
-    items.reserve(retrieved.messages.size());
-    for (const wire::RetrievedMessage& m : retrieved.messages) {
-      items.emplace_back(m.aid, m.nonce);
-    }
-    MWS_ASSIGN_OR_RETURN(auto keys, RequestKeysBatch(items));
-    for (size_t i = 0; i < retrieved.messages.size(); ++i) {
-      const wire::RetrievedMessage& m = retrieved.messages[i];
-      MWS_RETURN_IF_ERROR(keys[i].status());
-      MWS_ASSIGN_OR_RETURN(util::Bytes plaintext,
-                           DecryptMessage(m, keys[i].value()));
-      out.push_back(
-          ReceivedMessage{m.message_id, m.aid, std::move(plaintext)});
-    }
-    return out;
-  }
-  for (const wire::RetrievedMessage& m : retrieved.messages) {
-    MWS_ASSIGN_OR_RETURN(ibe::IbePrivateKey key, RequestKey(m.aid, m.nonce));
-    MWS_ASSIGN_OR_RETURN(util::Bytes plaintext, DecryptMessage(m, key));
-    out.push_back(ReceivedMessage{m.message_id, m.aid, std::move(plaintext)});
-  }
-  return out;
+  return DecryptAll(retrieved.messages);
 }
 
 util::Result<std::vector<ReceivedMessage>>

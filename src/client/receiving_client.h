@@ -21,12 +21,14 @@ struct ReceivedMessage {
 
 /// A receiving client (RC): an enterprise system such as the paper's
 /// C-Services. Runs phases 2 and 3 of Fig. 4: gatekeeper auth, retrieve,
-/// PKG ticket auth, per-message key extraction, decryption.
+/// PKG ticket auth, per-message key extraction, decryption. Both whole
+/// pipelines end in DecryptAll, the one decrypt path.
 class ReceivingClient {
  public:
-  /// `transport` must expose "mws.auth", "mws.retrieve", "pkg.auth" and
-  /// "pkg.extract" and outlive the client. `cipher` must match the MWS /
-  /// PKG configuration; `dem` the smart devices' DEM.
+  /// `transport` must expose "mws.auth", "mws.retrieve",
+  /// "mws.retrieve_chunk", "pkg.auth", "pkg.extract" and
+  /// "pkg.extract_batch" and outlive the client. `cipher` must match the
+  /// MWS / PKG configuration; `dem` the smart devices' DEM.
   ReceivingClient(std::string identity, std::string password,
                   crypto::RsaKeyPair rsa_keys, const ibe::SystemParams& params,
                   crypto::CipherKind cipher, crypto::CipherKind dem,
@@ -80,28 +82,28 @@ class ReceivingClient {
   util::Result<util::Bytes> DecryptMessage(const wire::RetrievedMessage& m,
                                            const ibe::IbePrivateKey& key);
 
-  /// Bulk decryption of retrieved records, amortized three ways: one
-  /// RequestKeysBatch round trip extracts every key (the PKG batches the
-  /// scalar multiplications behind one shared Montgomery inversion);
-  /// messages holding the same extracted key share ONE PairingPrecomp —
-  /// the Miller-loop lines of e(d, ·) depend on d alone, so every
-  /// decapsulation under that key skips the point arithmetic; and
-  /// decryption fans out across min(hardware threads, 4) workers.
-  /// Plaintexts are bit-identical to RequestKey + DecryptMessage per
-  /// message, in order. Pre: AuthenticateWithPkg() ok.
+  /// Decrypts retrieved records: one RequestKeysBatch round trip
+  /// extracts every key (the PKG batches the scalar multiplications
+  /// behind one shared Montgomery inversion), then DecryptMessage runs
+  /// per message across min(hardware threads, 4, n) workers. Plaintexts
+  /// are bit-identical to RequestKey + DecryptMessage per message, in
+  /// order. Fails with the status of the first key the PKG refused, or
+  /// else of the first record that does not open. Pre:
+  /// AuthenticateWithPkg() ok.
   util::Result<std::vector<ReceivedMessage>> DecryptAll(
       const std::vector<wire::RetrievedMessage>& messages);
 
   // --- Whole pipeline ---
 
-  /// Runs all steps and returns every readable message after `after_id`
-  /// (optionally restricted to a deposit-timestamp window).
+  /// Authenticate -> Retrieve -> AuthenticateWithPkg -> DecryptAll:
+  /// every readable message after `after_id` (optionally restricted to a
+  /// deposit-timestamp window).
   util::Result<std::vector<ReceivedMessage>> FetchAndDecrypt(
       uint64_t after_id = 0, int64_t from_micros = 0,
       int64_t to_micros = 0);
 
-  /// The bulk pipeline: chunked retrieval + DecryptAll. Same result set
-  /// as FetchAndDecrypt, built for the backlog-drain workload (E17).
+  /// FetchAndDecrypt with RetrieveChunked in place of Retrieve: the same
+  /// result set, built for the backlog-drain workload (E17).
   util::Result<std::vector<ReceivedMessage>> FetchAndDecryptBulk(
       uint64_t after_id = 0, int64_t from_micros = 0, int64_t to_micros = 0,
       uint32_t chunk_size = 256);

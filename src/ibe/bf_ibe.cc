@@ -41,7 +41,30 @@ BigInt HashToScalar(const BigInt& q, const util::Bytes& sigma,
   return BigInt::Mod(v, q - BigInt(1)) + BigInt(1);
 }
 
+/// The KEM's KDF: pairing value g -> DEM key of `key_len` bytes.
+util::Bytes KemKey(const Fp2& g, size_t key_len) {
+  return crypto::Hkdf(/*salt=*/{}, g.ToBytes(),
+                      util::BytesFromString("mwsibe-kem"), key_len);
+}
+
 }  // namespace
+
+EcPoint HashToGroup(const math::TypeAParams& group, uint8_t tag,
+                    const util::Bytes& input) {
+  const size_t flen = group.FieldBytes();
+  for (uint32_t counter = 0;; ++counter) {
+    util::Bytes tagged = Tagged(tag, input);
+    tagged.push_back(static_cast<uint8_t>(counter >> 24));
+    tagged.push_back(static_cast<uint8_t>(counter >> 16));
+    tagged.push_back(static_cast<uint8_t>(counter >> 8));
+    tagged.push_back(static_cast<uint8_t>(counter));
+    Fp x = Fp::FromBytes(
+        group.ctx(),
+        crypto::HashExpand(crypto::HashKind::kSha256, tagged, flen));
+    auto point = group.LiftX(x);
+    if (point.ok()) return point.value();
+  }
+}
 
 void SystemParams::Precompute() {
   if (group == nullptr || has_precompute()) return;
@@ -64,21 +87,7 @@ std::pair<SystemParams, MasterKey> BfIbe::Setup(
 }
 
 EcPoint BfIbe::HashToPoint(const util::Bytes& identity) const {
-  // Try-and-increment: x = H(counter || id) interpreted in F_p, lifted
-  // through the cofactor. Terminates in ~2 expected iterations.
-  const size_t flen = group_.FieldBytes();
-  for (uint32_t counter = 0;; ++counter) {
-    util::Bytes input = Tagged(kTagH1, identity);
-    input.push_back(static_cast<uint8_t>(counter >> 24));
-    input.push_back(static_cast<uint8_t>(counter >> 16));
-    input.push_back(static_cast<uint8_t>(counter >> 8));
-    input.push_back(static_cast<uint8_t>(counter));
-    util::Bytes xb =
-        crypto::HashExpand(crypto::HashKind::kSha256, input, flen);
-    Fp x = Fp::FromBytes(group_.ctx(), xb);
-    auto point = group_.LiftX(x);
-    if (point.ok()) return point.value();
-  }
+  return HashToGroup(group_, kTagH1, identity);
 }
 
 IbePrivateKey BfIbe::Extract(const MasterKey& master,
@@ -138,28 +147,6 @@ util::Bytes BfIbe::Decrypt(const SystemParams& params, const IbePrivateKey& key,
   return util::Xor(ct.v, PairingMask(g, ct.v.size()));
 }
 
-std::vector<util::Bytes> BfIbe::DecryptMany(
-    const SystemParams& params, const IbePrivateKey& key,
-    const std::vector<BasicCiphertext>& cts) const {
-  (void)params;
-  std::vector<util::Bytes> out;
-  out.reserve(cts.size());
-  if (cts.empty()) return out;
-  if (cts.size() == 1) {
-    out.push_back(Decrypt(params, key, cts[0]));
-    return out;
-  }
-  math::PairingPrecomp precomp(group_, key.d);
-  std::vector<EcPoint> us;
-  us.reserve(cts.size());
-  for (const BasicCiphertext& ct : cts) us.push_back(ct.u);
-  std::vector<Fp2> gs = precomp.PairingMany(us);
-  for (size_t i = 0; i < cts.size(); ++i) {
-    out.push_back(util::Xor(cts[i].v, PairingMask(gs[i], cts[i].v.size())));
-  }
-  return out;
-}
-
 FullCiphertext BfIbe::EncryptFull(const SystemParams& params,
                                   const util::Bytes& identity,
                                   const util::Bytes& message,
@@ -205,20 +192,13 @@ KemOutput IbeKem::Encapsulate(const SystemParams& params,
   BigInt r = group.RandomScalar(rng);
   KemOutput out;
   out.u = group.MulGenerator(r);
-  Fp2 g = ibe_.PairPpub(params, q_id).Pow(r);
-  out.key = crypto::Hkdf(/*salt=*/{}, g.ToBytes(),
-                         util::BytesFromString("mwsibe-kem"), key_len_);
+  out.key = KemKey(ibe_.PairPpub(params, q_id).Pow(r), key_len_);
   return out;
 }
 
 util::Bytes IbeKem::Decapsulate(const IbePrivateKey& key,
                                 const EcPoint& u) const {
-  return KeyFromPairing(ibe_.group().Pairing(key.d, u));
-}
-
-util::Bytes IbeKem::KeyFromPairing(const Fp2& g) const {
-  return crypto::Hkdf(/*salt=*/{}, g.ToBytes(),
-                      util::BytesFromString("mwsibe-kem"), key_len_);
+  return KemKey(ibe_.group().Pairing(key.d, u), key_len_);
 }
 
 }  // namespace mws::ibe

@@ -61,6 +61,14 @@ struct FullCiphertext {
   util::Bytes w;  // M xor H4(sigma)
 };
 
+/// Try-and-increment hash onto the order-q subgroup: x = H(tag || input
+/// || counter) read in F_p, lifted through the cofactor, for counter =
+/// 0, 1, ... until a lift succeeds (~2 tries expected). BF's H1 uses tag
+/// 0x01 and PEKS's keyword hash 0x07. Stored ciphertexts and tags
+/// depend on this mapping, so it must never change.
+math::EcPoint HashToGroup(const math::TypeAParams& group, uint8_t tag,
+                          const util::Bytes& input);
+
 /// The Boneh–Franklin IBE scheme over a fixed pairing group.
 ///
 /// Implements the four algorithms of paper §IV (Setup / Extract /
@@ -100,15 +108,6 @@ class BfIbe {
   /// integrity, a wrong key yields garbage — see FullIdent).
   util::Bytes Decrypt(const SystemParams& params, const IbePrivateKey& key,
                       const BasicCiphertext& ct) const;
-
-  /// BasicIdent decryption of many ciphertexts under ONE identity key.
-  /// The Miller lines of e(d, ·) depend on d alone, so the whole batch
-  /// shares a single PairingPrecomp, and the final exponentiations run
-  /// batched (one field inversion via Montgomery's trick). Output i is
-  /// bit-identical to Decrypt(params, key, cts[i]).
-  std::vector<util::Bytes> DecryptMany(
-      const SystemParams& params, const IbePrivateKey& key,
-      const std::vector<BasicCiphertext>& cts) const;
 
   /// FullIdent (CCA) encryption.
   FullCiphertext EncryptFull(const SystemParams& params,
@@ -158,13 +157,6 @@ class IbeKem {
   /// Recovers the DEM key from U with the extracted private key.
   util::Bytes Decapsulate(const IbePrivateKey& key,
                           const math::EcPoint& u) const;
-
-  /// The KDF half of Decapsulate: turns an already-computed pairing
-  /// value g = e(d, U) into the DEM key. Decapsulate(key, u) ==
-  /// KeyFromPairing(group().Pairing(key.d, u)) bit for bit — bulk
-  /// decryption computes g through a PairingPrecomp shared across every
-  /// message under the same key and feeds it here.
-  util::Bytes KeyFromPairing(const math::Fp2& g) const;
 
   size_t key_len() const { return key_len_; }
   const BfIbe& ibe() const { return ibe_; }

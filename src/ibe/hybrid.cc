@@ -25,12 +25,4 @@ util::Result<util::Bytes> HybridSealer::Open(const IbePrivateKey& key,
   return plain;
 }
 
-util::Result<util::Bytes> HybridSealer::OpenWithPairing(
-    const math::Fp2& g, const HybridCiphertext& ct) const {
-  util::Bytes dem_key = kem_.KeyFromPairing(g);
-  auto plain = crypto::CbcDecrypt(dem_, dem_key, ct.dem_ciphertext);
-  util::SecureWipe(dem_key);
-  return plain;
-}
-
 }  // namespace mws::ibe

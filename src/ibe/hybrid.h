@@ -41,12 +41,6 @@ class HybridSealer {
   util::Result<util::Bytes> Open(const IbePrivateKey& key,
                                  const HybridCiphertext& ct) const;
 
-  /// Open with an already-computed pairing value g = e(key.d, ct.u) —
-  /// the bulk path, where one PairingPrecomp for a fixed key serves many
-  /// ciphertexts. Bit-identical to Open(key, ct) when g matches.
-  util::Result<util::Bytes> OpenWithPairing(const math::Fp2& g,
-                                            const HybridCiphertext& ct) const;
-
   crypto::CipherKind dem() const { return dem_; }
   const IbeKem& kem() const { return kem_; }
 

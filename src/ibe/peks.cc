@@ -1,6 +1,7 @@
 #include "src/ibe/peks.h"
 
 #include "src/crypto/kdf.h"
+#include "src/ibe/bf_ibe.h"
 #include "src/util/serde.h"
 
 namespace mws::ibe {
@@ -20,21 +21,8 @@ util::Bytes HashPairingValue(const math::Fp2& value) {
 }  // namespace
 
 EcPoint Peks::HashKeyword(const util::Bytes& keyword) const {
-  // Reuse the BF H1 construction with its own tag.
-  util::Bytes tagged = util::Concat(util::Bytes{0x07}, keyword);
-  const size_t flen = group_.FieldBytes();
-  for (uint32_t counter = 0;; ++counter) {
-    util::Bytes input = tagged;
-    input.push_back(static_cast<uint8_t>(counter >> 24));
-    input.push_back(static_cast<uint8_t>(counter >> 16));
-    input.push_back(static_cast<uint8_t>(counter >> 8));
-    input.push_back(static_cast<uint8_t>(counter));
-    math::Fp x = math::Fp::FromBytes(
-        group_.ctx(),
-        crypto::HashExpand(crypto::HashKind::kSha256, input, flen));
-    auto point = group_.LiftX(x);
-    if (point.ok()) return point.value();
-  }
+  // BF's H1 construction under its own tag.
+  return HashToGroup(group_, 0x07, keyword);
 }
 
 Peks::KeyPair Peks::GenerateKeyPair(util::RandomSource& rng) const {

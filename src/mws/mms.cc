@@ -49,45 +49,6 @@ util::Result<std::vector<store::PolicyRow>> MessageManagementSystem::GrantsFor(
   return rows;
 }
 
-util::Result<std::vector<wire::RetrievedMessage>>
-MessageManagementSystem::FetchFor(const std::string& rc_identity,
-                                  uint64_t after_id, int64_t from_micros,
-                                  int64_t to_micros) const {
-  MWS_ASSIGN_OR_RETURN(std::vector<store::PolicyRow> grants,
-                       GrantsFor(rc_identity));
-  const bool time_filtered = from_micros != 0 || to_micros != 0;
-  std::vector<wire::RetrievedMessage> out;
-  for (const store::PolicyRow& grant : grants) {
-    std::vector<store::StoredMessage> batch;
-    if (time_filtered) {
-      MWS_ASSIGN_OR_RETURN(batch, messages_->FindByAttributeInTimeRange(
-                                      grant.attribute, from_micros,
-                                      to_micros));
-      std::erase_if(batch, [after_id](const store::StoredMessage& m) {
-        return m.id <= after_id;
-      });
-    } else {
-      MWS_ASSIGN_OR_RETURN(batch, messages_->FindByAttributeAfter(
-                                      grant.attribute, after_id));
-    }
-    for (store::StoredMessage& m : batch) {
-      wire::RetrievedMessage r;
-      r.message_id = m.id;
-      r.u = std::move(m.u);
-      r.ciphertext = std::move(m.ciphertext);
-      r.aid = grant.aid;
-      r.nonce = std::move(m.nonce);
-      out.push_back(std::move(r));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const wire::RetrievedMessage& a,
-               const wire::RetrievedMessage& b) {
-              return a.message_id < b.message_id;
-            });
-  return out;
-}
-
 util::Result<MessageManagementSystem::Chunk>
 MessageManagementSystem::FetchChunkFor(const std::string& rc_identity,
                                        uint64_t after_id, int64_t from_micros,

@@ -13,7 +13,9 @@ namespace mws::mws {
 /// Message Management System (Fig. 3): "the core of the MWS-RC as it has
 /// access to the Policy and Message Databases." Resolves an RC's grants
 /// to attributes, fetches matching records, and rewrites attributes to
-/// AIDs before anything leaves the warehouse.
+/// AIDs before anything leaves the warehouse. FetchChunkFor is its one
+/// fetch: it serves both mws.retrieve (unbounded) and
+/// mws.retrieve_chunk.
 ///
 /// Grants come from two sources: concrete operator grants (Table 1 rows)
 /// and policy expressions (§VIII XACML-style enhancement). Expression
@@ -31,15 +33,7 @@ class MessageManagementSystem {
   util::Result<std::vector<store::PolicyRow>> GrantsFor(
       const std::string& rc_identity) const;
 
-  /// Records visible to `rc_identity` with id > after_id, attribute field
-  /// replaced by the RC's AID for that attribute. A non-empty
-  /// [from_micros, to_micros) window additionally restricts results to
-  /// deposit timestamps in that range (billing-period queries).
-  util::Result<std::vector<wire::RetrievedMessage>> FetchFor(
-      const std::string& rc_identity, uint64_t after_id,
-      int64_t from_micros = 0, int64_t to_micros = 0) const;
-
-  /// One bounded slice of FetchFor: at most `max_messages` records.
+  /// At most `max_messages` records visible to `rc_identity`.
   struct Chunk {
     std::vector<wire::RetrievedMessage> messages;
     /// More matching records exist beyond this chunk.
@@ -49,11 +43,16 @@ class MessageManagementSystem {
     uint64_t next_after_id = 0;
   };
 
-  /// Like FetchFor but bounded: ranks the *ids* matching the RC's grants
-  /// (a key-only index walk — no ciphertext is materialized for messages
-  /// beyond the chunk), then fetches only the `max_messages` smallest.
-  /// Iterating until !has_more yields exactly FetchFor's result, in the
-  /// same order, as long as `after_id` is threaded through. Pre:
+  /// The one fetch: records visible to `rc_identity` with id > after_id,
+  /// in id order, attribute field replaced by the RC's AID for that
+  /// attribute. A non-empty [from_micros, to_micros) window additionally
+  /// restricts results to deposit timestamps in that range
+  /// (billing-period queries). Ranks the *ids* matching the RC's grants
+  /// first (a key-only index walk — no ciphertext is materialized for
+  /// messages beyond the chunk), then fetches only the `max_messages`
+  /// smallest; UINT32_MAX serves the whole backlog in one chunk.
+  /// Iterating until !has_more with `after_id` threaded through yields
+  /// exactly the records of one unbounded call, in the same order. Pre:
   /// max_messages > 0.
   util::Result<Chunk> FetchChunkFor(const std::string& rc_identity,
                                     uint64_t after_id, int64_t from_micros,

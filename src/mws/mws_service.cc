@@ -1,5 +1,7 @@
 #include "src/mws/mws_service.h"
 
+#include <limits>
+
 #include "src/ibe/attribute.h"
 #include "src/mws/policy_expr.h"
 
@@ -231,34 +233,19 @@ util::Result<wire::RetrieveResponse> MwsService::Retrieve(
   obs::ScopedTimer timer(retrieve_obs_.latency);
   obs::Span span =
       obs::Tracer::MaybeStartTrace(options_.tracer, "mws.retrieve");
-  util::Result<wire::RetrieveResponse> result = RetrieveImpl(request, span);
-  CountOutcome(result, retrieve_obs_.requests, retrieve_obs_.errors);
-  return result;
-}
-
-util::Result<wire::RetrieveResponse> MwsService::RetrieveImpl(
-    const wire::RetrieveRequest& request, obs::Span& span) {
-  RcSession session;
-  {
-    obs::Span lookup = span.Child("gatekeeper.session");
-    MWS_ASSIGN_OR_RETURN(session, gatekeeper_.GetSession(request.session_id));
-  }
-  wire::RetrieveResponse response;
-  {
-    obs::Span fetch = span.Child("mms.fetch");
-    MWS_ASSIGN_OR_RETURN(
-        response.messages,
-        mms_.FetchFor(session.rc_identity, request.after_message_id,
-                      request.from_micros, request.to_micros));
-  }
-  obs::Span token = span.Child("tg.token");
-  MWS_ASSIGN_OR_RETURN(std::vector<store::PolicyRow> grants,
-                       mms_.GrantsFor(session.rc_identity));
-  MWS_ASSIGN_OR_RETURN(
-      response.token,
-      token_generator_.IssueToken(session.rc_identity,
-                                  session.rsa_public_key, grants));
-  return response;
+  // The whole backlog is one unbounded chunk, so the token always comes.
+  wire::RetrieveChunkRequest unbounded;
+  unbounded.session_id = request.session_id;
+  unbounded.after_message_id = request.after_message_id;
+  unbounded.from_micros = request.from_micros;
+  unbounded.to_micros = request.to_micros;
+  unbounded.max_messages = std::numeric_limits<uint32_t>::max();
+  util::Result<wire::RetrieveChunkResponse> chunk =
+      RetrieveChunkImpl(unbounded, span);
+  CountOutcome(chunk, retrieve_obs_.requests, retrieve_obs_.errors);
+  MWS_RETURN_IF_ERROR(chunk.status());
+  return wire::RetrieveResponse{std::move(chunk->messages),
+                                std::move(chunk->token)};
 }
 
 util::Result<wire::RetrieveChunkResponse> MwsService::RetrieveChunk(
@@ -288,7 +275,7 @@ util::Result<wire::RetrieveChunkResponse> MwsService::RetrieveChunkImpl(
   }
   wire::RetrieveChunkResponse response;
   {
-    obs::Span fetch = span.Child("mms.fetch_chunk");
+    obs::Span fetch = span.Child("mms.fetch");
     MWS_ASSIGN_OR_RETURN(
         MessageManagementSystem::Chunk chunk,
         mms_.FetchChunkFor(session.rc_identity, request.after_message_id,

@@ -130,6 +130,7 @@ class MwsService {
       const wire::RcAuthRequest& request);
 
   /// MWS–RC phase, step 2: fetch matching records + a fresh PKG token.
+  /// Served as one unbounded RetrieveChunk under its own instruments.
   util::Result<wire::RetrieveResponse> Retrieve(
       const wire::RetrieveRequest& request);
 
@@ -166,8 +167,6 @@ class MwsService {
 
   util::Result<wire::DepositResponse> DepositImpl(
       const wire::DepositRequest& request, obs::Span& span);
-  util::Result<wire::RetrieveResponse> RetrieveImpl(
-      const wire::RetrieveRequest& request, obs::Span& span);
   util::Result<wire::DepositBatchResponse> DepositBatchImpl(
       const wire::DepositBatchRequest& request, obs::Span& span);
   util::Result<wire::RetrieveChunkResponse> RetrieveChunkImpl(

@@ -255,22 +255,30 @@ MessageDb::AppendDedupedBatch(const std::vector<StoredMessage>& messages) {
   if (!fresh_markers.empty()) {
     MWS_RETURN_IF_ERROR(table_->PutBatch(fresh_markers));
   }
-  // Phase 2: all message + secondary-index records, then one counter
-  // bump past the batch's highest id.
+  // Phase 2: every message record. Phase 3: every secondary-index key,
+  // then one counter bump past the batch's highest id. A table may apply
+  // one PutBatch in any cross-key order (KvStore goes shard by shard),
+  // so sharing a batch could let a reader list an id whose record is not
+  // there yet; separate batches keep an index entry from ever naming an
+  // invisible record.
   std::vector<std::pair<std::string, util::Bytes>> records;
-  records.reserve(to_write.size() * 3);
+  std::vector<std::pair<std::string, util::Bytes>> index_keys;
+  records.reserve(to_write.size());
+  index_keys.reserve(to_write.size() * 2);
   uint64_t max_id = 0;
   for (const Pending& p : to_write) {
     records.emplace_back(MessageKey(p.stored.id), p.stored.Encode());
-    records.emplace_back(IndexKey(p.stored.attribute, p.stored.id),
-                         util::Bytes{});
-    records.emplace_back(TimeIndexKey(p.stored.attribute,
-                                      p.stored.timestamp_micros, p.stored.id),
-                         util::Bytes{});
+    index_keys.emplace_back(IndexKey(p.stored.attribute, p.stored.id),
+                            util::Bytes{});
+    index_keys.emplace_back(
+        TimeIndexKey(p.stored.attribute, p.stored.timestamp_micros,
+                     p.stored.id),
+        util::Bytes{});
     max_id = std::max(max_id, p.stored.id);
   }
   if (!records.empty()) {
     MWS_RETURN_IF_ERROR(table_->PutBatch(records));
+    MWS_RETURN_IF_ERROR(table_->PutBatch(index_keys));
     MWS_RETURN_IF_ERROR(PersistCounter(max_id + 1));
   }
   if (dedup_count > 0) {
@@ -327,18 +335,6 @@ util::Result<std::vector<StoredMessage>> MessageDb::FindByAttributeAfter(
     const std::string& attribute, uint64_t after_id) const {
   std::vector<StoredMessage> out;
   for (uint64_t id : IdsByAttributeAfter(attribute, after_id)) {
-    MWS_ASSIGN_OR_RETURN(StoredMessage m, Get(id));
-    out.push_back(std::move(m));
-  }
-  return out;
-}
-
-util::Result<std::vector<StoredMessage>> MessageDb::FindByAttributeInTimeRange(
-    const std::string& attribute, int64_t from_micros,
-    int64_t to_micros) const {
-  std::vector<StoredMessage> out;
-  for (uint64_t id :
-       IdsByAttributeInTimeRange(attribute, from_micros, to_micros)) {
     MWS_ASSIGN_OR_RETURN(StoredMessage m, Get(id));
     out.push_back(std::move(m));
   }

@@ -70,11 +70,14 @@ class MessageDb {
   /// Batched AppendDeduped: same per-message outcomes as calling
   /// AppendDeduped sequentially (including intra-batch retransmits, which
   /// dedup against the first occurrence), but the table work is grouped
-  /// into two PutBatch calls — all fresh dedup markers first, then every
-  /// message/index record — so a KvStore backend takes each shard lock
-  /// once per batch instead of once per key. Marker-first ordering holds
-  /// batch-wide, so a crash between the phases is recovered exactly like
-  /// a torn single-shot append: the retry resumes the reserved ids. A
+  /// into three PutBatch calls — all fresh dedup markers, then every
+  /// message record, then every index key — so a KvStore backend takes
+  /// each shard lock once per batch instead of once per key. Marker-first
+  /// ordering holds batch-wide, so a crash between the phases is
+  /// recovered exactly like a torn single-shot append: the retry resumes
+  /// the reserved ids. Record-before-index ordering holds batch-wide
+  /// too, so a concurrent reader never lists an id whose record it
+  /// cannot Get, whatever order the table applies one batch in. A
   /// storage failure fails the whole call; retrying the batch is safe
   /// (at-least-once, absorbed by the markers).
   util::Result<std::vector<AppendOutcome>> AppendDedupedBatch(
@@ -99,20 +102,16 @@ class MessageDb {
   util::Result<std::vector<StoredMessage>> FindByAttributeAfter(
       const std::string& attribute, uint64_t after_id) const;
 
-  /// Messages for one attribute with timestamp in [from, to) — billing
-  /// periods, the paper's motivating query. Served by a timestamp
-  /// secondary index, not a scan. Pre: timestamps are non-negative.
-  util::Result<std::vector<StoredMessage>> FindByAttributeInTimeRange(
-      const std::string& attribute, int64_t from_micros,
-      int64_t to_micros) const;
-
   /// Ids (only) with id > after_id for one attribute, in id order. A
   /// key-only index walk: no message value is materialized, so chunked
   /// retrieval can rank a 10k-message backlog before fetching anything.
   std::vector<uint64_t> IdsByAttributeAfter(const std::string& attribute,
                                             uint64_t after_id) const;
 
-  /// Ids (only) for one attribute with timestamp in [from, to).
+  /// Ids (only) for one attribute with timestamp in [from, to), in
+  /// timestamp order — billing periods, the paper's motivating query.
+  /// Served by a timestamp secondary index, not a scan. Pre: timestamps
+  /// are non-negative.
   std::vector<uint64_t> IdsByAttributeInTimeRange(const std::string& attribute,
                                                   int64_t from_micros,
                                                   int64_t to_micros) const;

@@ -1,10 +1,10 @@
 #include "src/wire/router.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/util/serde.h"
-#include "src/wire/messages.h"
 
 namespace mws::wire {
 
@@ -227,40 +227,33 @@ Result<Bytes> ShardRouter::Auth(const Bytes& request) {
 Result<Bytes> ShardRouter::Retrieve(const Bytes& request) {
   auto decoded = RetrieveRequest::Decode(request);
   if (!decoded.ok()) return decoded.status();
-  auto sessions =
-      DecodeCompositeSession(decoded.value().session_id, shards_.size());
-  if (!sessions.ok()) return sessions.status();
-
-  RetrieveResponse merged;
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    RetrieveRequest sub = decoded.value();
-    sub.session_id = sessions.value()[shard];
-    sub.after_message_id =
-        LocalAfter(decoded.value().after_message_id, shard, shards_.size());
-    auto raw = CallShard(shard, "mws.retrieve", sub.Encode());
-    if (!raw.ok()) return raw.status();
-    auto response = RetrieveResponse::Decode(raw.value());
-    if (!response.ok()) return response.status();
-    for (auto& m : response.value().messages) {
-      m.message_id = RouterId(m.message_id, shard, shards_.size());
-      merged.messages.push_back(std::move(m));
-    }
-    // Replicated control plane => identical AID tables => any shard's
-    // token opens every shard's messages. Keep the first.
-    if (merged.token.empty()) merged.token = std::move(response.value().token);
-  }
-  std::sort(merged.messages.begin(), merged.messages.end(),
-            [](const RetrievedMessage& a, const RetrievedMessage& b) {
-              return a.message_id < b.message_id;
-            });
-  return merged.Encode();
+  // The unbounded case of the chunk merge: every shard serves its whole
+  // backlog in one final chunk, so the merge is never trimmed and always
+  // carries a token.
+  RetrieveChunkRequest unbounded;
+  unbounded.session_id = std::move(decoded.value().session_id);
+  unbounded.after_message_id = decoded.value().after_message_id;
+  unbounded.from_micros = decoded.value().from_micros;
+  unbounded.to_micros = decoded.value().to_micros;
+  unbounded.max_messages = std::numeric_limits<uint32_t>::max();
+  auto merged = MergeChunks(unbounded);
+  if (!merged.ok()) return merged.status();
+  return RetrieveResponse{std::move(merged.value().messages),
+                          std::move(merged.value().token)}
+      .Encode();
 }
 
 Result<Bytes> ShardRouter::RetrieveChunk(const Bytes& request) {
   auto decoded = RetrieveChunkRequest::Decode(request);
   if (!decoded.ok()) return decoded.status();
-  auto sessions =
-      DecodeCompositeSession(decoded.value().session_id, shards_.size());
+  auto merged = MergeChunks(decoded.value());
+  if (!merged.ok()) return merged.status();
+  return merged.value().Encode();
+}
+
+Result<RetrieveChunkResponse> ShardRouter::MergeChunks(
+    const RetrieveChunkRequest& request) {
+  auto sessions = DecodeCompositeSession(request.session_id, shards_.size());
   if (!sessions.ok()) return sessions.status();
 
   // Each shard serves up to the full chunk budget past its decomposed
@@ -272,10 +265,10 @@ Result<Bytes> ShardRouter::RetrieveChunk(const Bytes& request) {
   bool any_shard_has_more = false;
   std::vector<Bytes> tokens(shards_.size());
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    RetrieveChunkRequest sub = decoded.value();
+    RetrieveChunkRequest sub = request;
     sub.session_id = sessions.value()[shard];
     sub.after_message_id =
-        LocalAfter(decoded.value().after_message_id, shard, shards_.size());
+        LocalAfter(request.after_message_id, shard, shards_.size());
     auto raw = CallShard(shard, "mws.retrieve_chunk", sub.Encode());
     if (!raw.ok()) return raw.status();
     auto response = RetrieveChunkResponse::Decode(raw.value());
@@ -293,17 +286,18 @@ Result<Bytes> ShardRouter::RetrieveChunk(const Bytes& request) {
             });
 
   RetrieveChunkResponse merged;
-  bool trimmed = candidates.size() > decoded.value().max_messages;
-  if (trimmed) candidates.resize(decoded.value().max_messages);
+  bool trimmed = candidates.size() > request.max_messages;
+  if (trimmed) candidates.resize(request.max_messages);
   merged.messages = std::move(candidates);
   merged.has_more = trimmed || any_shard_has_more;
   merged.next_after_id = merged.messages.empty()
-                             ? decoded.value().after_message_id
+                             ? request.after_message_id
                              : merged.messages.back().message_id;
   if (!merged.has_more) {
     // Final chunk of the sweep: every shard just returned its own final
-    // chunk, so each supplied a token; they are interchangeable (see
-    // Retrieve) — return the first.
+    // chunk, so each supplied a token. Replicated control plane =>
+    // identical AID tables => any shard's token opens every shard's
+    // messages; return the first.
     for (auto& token : tokens) {
       if (!token.empty()) {
         merged.token = std::move(token);
@@ -311,7 +305,7 @@ Result<Bytes> ShardRouter::RetrieveChunk(const Bytes& request) {
       }
     }
   }
-  return merged.Encode();
+  return merged;
 }
 
 }  // namespace mws::wire

@@ -11,6 +11,7 @@
 #include "src/obs/metrics.h"
 #include "src/util/bytes.h"
 #include "src/util/result.h"
+#include "src/wire/messages.h"
 #include "src/wire/transport.h"
 
 namespace mws::wire {
@@ -72,11 +73,12 @@ class ShardMap {
 ///  - `mws.auth` fans out to every shard and concatenates the per-shard
 ///    gatekeeper sessions into one composite session blob; retrieval
 ///    decomposes it again. A client holds "a session" exactly as before.
-///  - `mws.retrieve` / `mws.retrieve_chunk` fan out, remap per-shard
-///    message ids into the router id space, and k-way merge ascending.
-///    Chunked retrieval trims the merge to `max_messages` and re-derives
+///  - `mws.retrieve_chunk` fans out as `mws.retrieve_chunk` to every
+///    shard, remaps per-shard message ids into the router id space, and
+///    merges ascending. The merge trims to `max_messages` and re-derives
 ///    per-shard cursors from the merged continuation id on the next
-///    call, so pagination is exact across shards.
+///    call, so pagination is exact across shards. `mws.retrieve` is the
+///    same merge with no cap: one merge serves both.
 ///  - Everything else (pkg.*, obs.stats, ...) forwards verbatim to the
 ///    control transport.
 ///
@@ -151,6 +153,9 @@ class ShardRouter : public Transport {
   util::Result<util::Bytes> Auth(const util::Bytes& request);
   util::Result<util::Bytes> Retrieve(const util::Bytes& request);
   util::Result<util::Bytes> RetrieveChunk(const util::Bytes& request);
+  /// The one retrieval merge behind both endpoints.
+  util::Result<RetrieveChunkResponse> MergeChunks(
+      const RetrieveChunkRequest& request);
 
   util::Result<util::Bytes> CallShard(size_t shard,
                                       const std::string& endpoint,

@@ -315,21 +315,50 @@ TEST(BatchDepositTest, FaultyTransportReplaysAreAbsorbed) {
 
 TEST(BulkRetrieveTest, ChunkedRetrieveMatchesFullRetrieve) {
   auto scenario = sim::UtilityScenario::Create(SmallOptions()).value();
+  // One reading per simulated second, so ids and timestamps both climb.
+  const int64_t start = scenario->clock().NowMicros();
   ASSERT_TRUE(scenario->DepositReadings(5).ok());
 
   client::ReceivingClient& rc =
       scenario->company(sim::UtilityScenario::kCServices);
   ASSERT_TRUE(rc.Authenticate().ok());
-  auto full = rc.Retrieve();
-  ASSERT_TRUE(full.ok()) << full.status();
-  auto chunked = rc.RetrieveChunked(/*after_id=*/0, 0, 0, /*chunk_size=*/4);
-  ASSERT_TRUE(chunked.ok()) << chunked.status();
+  // Every record of one retrieval, encoded; each retrieval ends with a
+  // token.
+  auto encoded = [](const util::Result<wire::RetrieveResponse>& response) {
+    EXPECT_TRUE(response.ok()) << response.status();
+    std::vector<Bytes> out;
+    if (!response.ok()) return out;
+    EXPECT_FALSE(response->token.empty());
+    for (const wire::RetrievedMessage& m : response->messages) {
+      out.push_back(m.Encode());
+    }
+    return out;
+  };
+  std::vector<Bytes> all = encoded(rc.Retrieve());
+  ASSERT_GT(all.size(), 4u);
+  EXPECT_EQ(encoded(rc.RetrieveChunked(0, 0, 0, /*chunk_size=*/4)), all);
 
-  ASSERT_EQ(chunked->messages.size(), full->messages.size());
-  for (size_t i = 0; i < full->messages.size(); ++i) {
-    EXPECT_EQ(chunked->messages[i].Encode(), full->messages[i].Encode());
+  // A billing window plus a cursor: exactly the records past the cursor
+  // whose deposit timestamp falls inside [from, to).
+  const uint64_t after_id = 5;
+  const int64_t from = start + 3'000'000;
+  const int64_t to = start + 12'000'000;
+  std::vector<Bytes> expected;
+  size_t past_cursor = 0;
+  for (const Bytes& record : all) {
+    auto m = wire::RetrievedMessage::Decode(record);
+    ASSERT_TRUE(m.ok()) << m.status();
+    if (m->message_id <= after_id) continue;
+    ++past_cursor;
+    int64_t ts = scenario->mws().message_db().Get(m->message_id)
+                     ->timestamp_micros;
+    if (ts >= from && ts < to) expected.push_back(record);
   }
-  EXPECT_FALSE(chunked->token.empty());
+  ASSERT_GT(expected.size(), 0u);
+  ASSERT_LT(expected.size(), past_cursor) << "the window should bite";
+  EXPECT_EQ(encoded(rc.Retrieve(after_id, from, to)), expected);
+  EXPECT_EQ(encoded(rc.RetrieveChunked(after_id, from, to, /*chunk_size=*/4)),
+            expected);
 }
 
 TEST(BulkRetrieveTest, TokenOnlyOnFinalChunk) {
@@ -388,9 +417,9 @@ TEST(BulkRetrieveTest, DecryptAllBitIdenticalToPerMessageDecryption) {
   }
 }
 
-TEST(BulkRetrieveTest, DecryptAllSharesPrecompAcrossRepeatedKeys) {
-  // Duplicate retrieved records (same AID+nonce => same key) force the
-  // shared-PairingPrecomp group path; plaintexts must stay identical.
+TEST(BulkRetrieveTest, DecryptAllRepeatedKeysDecryptIdentically) {
+  // Duplicate retrieved records (same AID+nonce => same key) must
+  // decrypt to identical plaintexts.
   auto scenario = sim::UtilityScenario::Create(SmallOptions()).value();
   ASSERT_TRUE(scenario->DepositReadings(2).ok());
 
@@ -411,6 +440,48 @@ TEST(BulkRetrieveTest, DecryptAllSharesPrecompAcrossRepeatedKeys) {
   for (size_t i = 0; i < half; ++i) {
     EXPECT_EQ(bulk.value()[i].plaintext, bulk.value()[i + half].plaintext);
   }
+}
+
+TEST(BulkRetrieveTest, DecryptAllFailsWithTheBadMessagesStatus) {
+  auto scenario = sim::UtilityScenario::Create(SmallOptions()).value();
+  ASSERT_TRUE(scenario->DepositReadings(2).ok());
+
+  client::ReceivingClient& rc =
+      scenario->company(sim::UtilityScenario::kCServices);
+  ASSERT_TRUE(rc.Authenticate().ok());
+  auto retrieved = rc.Retrieve();
+  ASSERT_TRUE(retrieved.ok()) << retrieved.status();
+  ASSERT_GE(retrieved->messages.size(), 3u);
+  ASSERT_TRUE(rc.AuthenticateWithPkg(retrieved->token).ok());
+
+  // One truncated U: the call fails with exactly the status that
+  // message's own decryption reports.
+  std::vector<wire::RetrievedMessage> truncated = retrieved->messages;
+  wire::RetrievedMessage& bad = truncated[1];
+  bad.u.resize(bad.u.size() / 2);
+  auto key = rc.RequestKey(bad.aid, bad.nonce);
+  ASSERT_TRUE(key.ok()) << key.status();
+  util::Status expected = rc.DecryptMessage(bad, key.value()).status();
+  ASSERT_FALSE(expected.ok());
+  auto result = rc.DecryptAll(truncated);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), expected.code());
+  EXPECT_EQ(result.status().message(), expected.message());
+
+  // One AID outside the ticket: the PKG refuses that key, so the call
+  // fails with the refusal.
+  std::vector<wire::RetrievedMessage> foreign = retrieved->messages;
+  foreign[1].aid = 987654321;
+  result = rc.DecryptAll(foreign);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kPermissionDenied);
+  EXPECT_NE(result.status().message().find("987654321"), std::string::npos)
+      << result.status();
+
+  // The untouched list still decrypts in full.
+  auto good = rc.DecryptAll(retrieved->messages);
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(good->size(), retrieved->messages.size());
 }
 
 TEST(BulkRetrieveTest, FetchAndDecryptBulkMatchesFetchAndDecrypt) {

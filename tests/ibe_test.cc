@@ -5,6 +5,7 @@
 #include "src/ibe/bf_ibe.h"
 #include "src/ibe/hybrid.h"
 #include "src/math/params.h"
+#include "src/util/hex.h"
 #include "src/util/random.h"
 
 namespace mws::ibe {
@@ -15,6 +16,7 @@ using math::ParamPreset;
 using util::Bytes;
 using util::BytesFromString;
 using util::DeterministicRandom;
+using util::HexEncode;
 
 class BfIbeTest : public ::testing::Test {
  protected:
@@ -46,6 +48,35 @@ TEST_F(BfIbeTest, HashToPointDeterministicOrderQ) {
   EXPECT_TRUE(ibe_.group().curve().ScalarMul(ibe_.group().q(), q1)
                   .is_infinity());
   EXPECT_NE(q1, ibe_.HashToPoint(BytesFromString("other-identity")));
+}
+
+// H1 known answers. Every stored ciphertext and extracted key depends
+// on the identity-to-point mapping, so it must never move: these are
+// the compressed points for two fixed identities at two presets.
+std::string HashToPointHex(ParamPreset preset, const std::string& identity) {
+  BfIbe ibe(GetParams(preset));
+  return HexEncode(ibe.group().curve().SerializeCompressed(
+      ibe.HashToPoint(BytesFromString(identity))));
+}
+
+TEST(HashToPointKnownAnswerTest, SmallPreset) {
+  EXPECT_EQ(
+      HashToPointHex(ParamPreset::kSmall, "ELECTRIC-BAYTOWER-SV-CA"),
+      "0219bc558b22bc9b4bff54af3606a04bb839d18cc7b5f6305754fda59140796725");
+  EXPECT_EQ(
+      HashToPointHex(ParamPreset::kSmall, "GAS-BAYTOWER-SV-CA"),
+      "023d96a1d1f633d98c63334604ca1d1d0c1bce3c3521b3a07f53c87ef741fc4782");
+}
+
+TEST(HashToPointKnownAnswerTest, TestPreset) {
+  EXPECT_EQ(HashToPointHex(ParamPreset::kTest, "ELECTRIC-BAYTOWER-SV-CA"),
+            "0363d3094d11f2a79afb34faaa14a9dfd259eedbd67884f804cdd65eab9ea3"
+            "635db9793e548bb8f67a7ae3334b61e7f5c0045f1c0102646bca74abc04fcf"
+            "242de4");
+  EXPECT_EQ(HashToPointHex(ParamPreset::kTest, "GAS-BAYTOWER-SV-CA"),
+            "0375d1266267011e5849c3f7c77d1e7053a8828b2decda117e32b13eb44ff1"
+            "83109cf79637db147d6b0be739da555b673ae3433622415d6e1d505a1cb342"
+            "90a4b4");
 }
 
 TEST_F(BfIbeTest, ExtractConsistent) {
@@ -145,35 +176,6 @@ TEST_F(BfIbeTest, FullIdentRejectsWrongKey) {
       ibe_.EncryptFull(params_, id, BytesFromString("msg"), rng_);
   IbePrivateKey wrong = ibe_.Extract(master_, BytesFromString("other"));
   EXPECT_FALSE(ibe_.DecryptFull(params_, wrong, ct).ok());
-}
-
-TEST_F(BfIbeTest, DecryptManyBitIdenticalToDecrypt) {
-  // The batched path (shared PairingPrecomp + batched final
-  // exponentiation) must reproduce Decrypt byte for byte, including a
-  // ciphertext encrypted for a DIFFERENT identity (BasicIdent has no
-  // integrity — both paths must emit the same garbage).
-  Bytes id = BytesFromString("bulk-recipient");
-  IbePrivateKey key = ibe_.Extract(master_, id);
-  std::vector<BasicCiphertext> cts;
-  for (int i = 0; i < 5; ++i) {
-    cts.push_back(ibe_.Encrypt(params_, id,
-                               BytesFromString("m" + std::to_string(i)),
-                               rng_));
-  }
-  cts.push_back(
-      ibe_.Encrypt(params_, BytesFromString("someone-else"),
-                   BytesFromString("not for us"), rng_));
-  std::vector<Bytes> bulk = ibe_.DecryptMany(params_, key, cts);
-  ASSERT_EQ(bulk.size(), cts.size());
-  for (size_t i = 0; i < cts.size(); ++i) {
-    EXPECT_EQ(bulk[i], ibe_.Decrypt(params_, key, cts[i])) << i;
-  }
-  EXPECT_EQ(bulk[0], BytesFromString("m0"));
-  // Size-0 and size-1 batches take the trivial paths.
-  EXPECT_TRUE(ibe_.DecryptMany(params_, key, {}).empty());
-  std::vector<BasicCiphertext> one = {cts[0]};
-  EXPECT_EQ(ibe_.DecryptMany(params_, key, one)[0],
-            ibe_.Decrypt(params_, key, cts[0]));
 }
 
 TEST_F(BfIbeTest, KemAgreesBothSides) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/crypto/hmac.h"
 #include "src/crypto/modes.h"
 #include "src/crypto/rsa.h"
@@ -292,12 +294,18 @@ TEST_F(MwsServiceTest, MmsResolvesGrantsPerFetch) {
   request.mac = crypto::HmacSha256(mac_key, request.AuthenticatedBytes());
   ASSERT_TRUE(service_.Deposit(request).ok());
 
-  auto visible = service_.mms().FetchFor("RC1", 0).value();
+  auto fetch_all = [&] {
+    return service_.mms()
+        .FetchChunkFor("RC1", 0, 0, 0, std::numeric_limits<uint32_t>::max())
+        .value()
+        .messages;
+  };
+  auto visible = fetch_all();
   ASSERT_EQ(visible.size(), 1u);
   EXPECT_EQ(visible[0].aid, service_.PolicyTable().value()[0].aid);
 
   ASSERT_TRUE(service_.RevokeAttribute("RC1", "A1").ok());
-  EXPECT_TRUE(service_.mms().FetchFor("RC1", 0).value().empty());
+  EXPECT_TRUE(fetch_all().empty());
 }
 
 }  // namespace

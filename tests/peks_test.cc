@@ -2,6 +2,7 @@
 
 #include "src/ibe/peks.h"
 #include "src/math/params.h"
+#include "src/util/hex.h"
 #include "src/util/random.h"
 
 namespace mws::ibe {
@@ -77,6 +78,18 @@ TEST_F(PeksTest, ManyKeywordsSelectivity) {
     matches += peks_.Test(tag, water) ? 1 : 0;
   }
   EXPECT_EQ(matches, 1);
+}
+
+TEST_F(PeksTest, TrapdoorKnownAnswer) {
+  // The trapdoor is secret * HashKeyword(w), so this pins the keyword
+  // hash: a moved mapping would orphan every stored tag.
+  Peks::Trapdoor trapdoor = peks_.MakeTrapdoor(
+      math::BigInt(uint64_t{0x1234567890abcdef}), BytesFromString("ELECTRIC"));
+  EXPECT_EQ(
+      util::HexEncode(
+          GetParams(ParamPreset::kSmall).curve().SerializeCompressed(
+              trapdoor.t)),
+      "0329e82d3003b1af31ae1a7ef6da46a0404083983bc43f46e264c039d71b7ebcd4");
 }
 
 TEST_F(PeksTest, SerializationRoundTrip) {

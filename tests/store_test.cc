@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 
 #include "src/store/flatfile.h"
 #include "src/store/kvstore.h"
@@ -339,30 +341,102 @@ TEST_F(MessageDbTest, TimeRangeQueries) {
     m.timestamp_micros = ts;
     return m;
   };
+  constexpr int64_t kDay = 86'400'000'000ll;
   // A month of daily readings (timestamps out of insertion order).
   for (int64_t day : {5, 1, 20, 10, 15, 25, 30}) {
-    db_.Append(make_at(day * 86'400'000'000ll)).value();
+    db_.Append(make_at(day * kDay)).value();
   }
-  // Billing period: days [10, 25).
-  auto period = db_.FindByAttributeInTimeRange(
-      "A1", 10 * 86'400'000'000ll, 25 * 86'400'000'000ll);
-  ASSERT_TRUE(period.ok());
-  ASSERT_EQ(period->size(), 3u);
-  // Results come back in timestamp order.
-  EXPECT_EQ(period->at(0).timestamp_micros, 10 * 86'400'000'000ll);
-  EXPECT_EQ(period->at(1).timestamp_micros, 15 * 86'400'000'000ll);
-  EXPECT_EQ(period->at(2).timestamp_micros, 20 * 86'400'000'000ll);
+  auto timestamps = [&](const std::vector<uint64_t>& ids) {
+    std::vector<int64_t> out;
+    for (uint64_t id : ids) out.push_back(db_.Get(id)->timestamp_micros);
+    return out;
+  };
+  // Billing period: days [10, 25). Ids come back in timestamp order.
+  EXPECT_EQ(timestamps(db_.IdsByAttributeInTimeRange("A1", 10 * kDay,
+                                                     25 * kDay)),
+            (std::vector<int64_t>{10 * kDay, 15 * kDay, 20 * kDay}));
   // Bounds: inclusive lower, exclusive upper.
-  auto exact = db_.FindByAttributeInTimeRange(
-      "A1", 5 * 86'400'000'000ll, 5 * 86'400'000'000ll + 1);
-  EXPECT_EQ(exact->size(), 1u);
+  EXPECT_EQ(db_.IdsByAttributeInTimeRange("A1", 5 * kDay, 5 * kDay + 1)
+                .size(),
+            1u);
   // Empty and inverted ranges.
-  EXPECT_TRUE(db_.FindByAttributeInTimeRange("A1", 40, 50)->empty());
-  EXPECT_TRUE(db_.FindByAttributeInTimeRange("A1", 50, 40)->empty());
+  EXPECT_TRUE(db_.IdsByAttributeInTimeRange("A1", 40, 50).empty());
+  EXPECT_TRUE(db_.IdsByAttributeInTimeRange("A1", 50, 40).empty());
   // Other attributes unaffected.
-  EXPECT_TRUE(
-      db_.FindByAttributeInTimeRange("A2", 0, 100ll * 86'400'000'000ll)
-          ->empty());
+  EXPECT_TRUE(db_.IdsByAttributeInTimeRange("A2", 0, 100 * kDay).empty());
+}
+
+/// A Table whose PutBatch applies entries one at a time in reverse order
+/// — a cross-key order KvStore may use, since it applies a batch shard
+/// by shard — and runs `after_each` after every entry lands.
+class ReversedBatchTable : public Table {
+ public:
+  explicit ReversedBatchTable(Table* base) : base_(base) {}
+
+  std::function<void()> after_each;
+
+  util::Status Put(const std::string& key, const Bytes& value) override {
+    return base_->Put(key, value);
+  }
+  util::Status PutBatch(
+      const std::vector<std::pair<std::string, Bytes>>& entries) override {
+    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+      MWS_RETURN_IF_ERROR(base_->Put(it->first, it->second));
+      if (after_each) after_each();
+    }
+    return util::Status::Ok();
+  }
+  util::Result<Bytes> Get(const std::string& key) const override {
+    return base_->Get(key);
+  }
+  util::Status Delete(const std::string& key) override {
+    return base_->Delete(key);
+  }
+  bool Contains(const std::string& key) const override {
+    return base_->Contains(key);
+  }
+  std::vector<std::pair<std::string, Bytes>> Scan(
+      const std::string& prefix) const override {
+    return base_->Scan(prefix);
+  }
+  size_t Size() const override { return base_->Size(); }
+  util::Status Flush() override { return base_->Flush(); }
+
+ private:
+  Table* base_;
+};
+
+TEST(MessageDbBatchOrderTest, IndexNeverNamesAMissingRecord) {
+  // A reader listing ids through either index must find every record,
+  // at every point inside a batch append.
+  auto base = KvStore::Open({.path = ""}).value();
+  ReversedBatchTable table(base.get());
+  MessageDb db(&table);
+  size_t checks = 0;
+  size_t orphans = 0;
+  table.after_each = [&] {
+    ++checks;
+    for (uint64_t id : db.IdsByAttributeAfter("A1", 0)) {
+      if (!db.Get(id).ok()) ++orphans;
+    }
+    for (uint64_t id : db.IdsByAttributeInTimeRange(
+             "A1", 0, std::numeric_limits<int64_t>::max())) {
+      if (!db.Get(id).ok()) ++orphans;
+    }
+  };
+  std::vector<StoredMessage> batch(4);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].u = BytesFromString("rP");
+    batch[i].ciphertext = BytesFromString("m" + std::to_string(i));
+    batch[i].attribute = "A1";
+    batch[i].nonce = BytesFromString("nonce-" + std::to_string(i));
+    batch[i].device_id = "SD-1";
+    batch[i].timestamp_micros = 1000 + static_cast<int64_t>(i);
+  }
+  ASSERT_TRUE(db.AppendDedupedBatch(batch).ok());
+  EXPECT_GT(checks, 0u);
+  EXPECT_EQ(orphans, 0u) << "an index listed an id before its record";
+  EXPECT_EQ(db.IdsByAttributeAfter("A1", 0).size(), batch.size());
 }
 
 // --- PolicyDb: reproduces the paper's Table 1 exactly ---
