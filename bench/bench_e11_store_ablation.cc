@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "src/store/flatfile.h"
@@ -50,15 +51,24 @@ StoredMessage SampleMessage() {
   return m;
 }
 
+/// Appends `m` as a fresh message: a new nonce each call, so the store
+/// writes it instead of deduplicating a retransmit.
+auto AppendFresh(MessageDb& db, StoredMessage& m) {
+  static uint64_t n = 0;
+  ++n;
+  std::memcpy(m.nonce.data(), &n, sizeof(n));
+  return db.Append({m});
+}
+
 /// Deposit (append) cost after `preload` messages already stored.
 void BM_StoreAppend(benchmark::State& state) {
   std::string path = BenchPath("append");
   auto backend = MakeBackend(state.range(0), path);
   MessageDb db(backend.get());
   StoredMessage m = SampleMessage();
-  for (int64_t i = 0; i < state.range(1); ++i) db.Append(m).value();
+  for (int64_t i = 0; i < state.range(1); ++i) AppendFresh(db, m).value();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(db.Append(m));
+    benchmark::DoNotOptimize(AppendFresh(db, m));
   }
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(std::string(BackendName(state.range(0))) + ", preload " +
@@ -80,10 +90,12 @@ void BM_StoreLookup(benchmark::State& state) {
   auto backend = MakeBackend(state.range(0), path);
   MessageDb db(backend.get());
   StoredMessage m = SampleMessage();
-  for (int64_t i = 0; i < state.range(1); ++i) db.Append(m).value();
+  for (int64_t i = 0; i < state.range(1); ++i) AppendFresh(db, m).value();
+  const uint64_t after = static_cast<uint64_t>(state.range(1)) - 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(db.FindByAttributeAfter(
-        m.attribute, static_cast<uint64_t>(state.range(1)) - 1));
+    for (uint64_t id : db.IdsByAttributeAfter(m.attribute, after)) {
+      benchmark::DoNotOptimize(db.Get(id));
+    }
   }
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(std::string(BackendName(state.range(0))) + ", " +
@@ -100,7 +112,7 @@ void BM_StoreRecovery(benchmark::State& state) {
     auto backend = MakeBackend(state.range(0), path);
     MessageDb db(backend.get());
     StoredMessage m = SampleMessage();
-    for (int64_t i = 0; i < state.range(1); ++i) db.Append(m).value();
+    for (int64_t i = 0; i < state.range(1); ++i) AppendFresh(db, m).value();
     backend->Flush().ok();
   }
   for (auto _ : state) {

@@ -54,6 +54,11 @@ MessageManagementSystem::FetchChunkFor(const std::string& rc_identity,
                                        uint64_t after_id, int64_t from_micros,
                                        int64_t to_micros,
                                        uint32_t max_messages) const {
+  // Read the watermark before listing any index (GrantsFor lists the
+  // attributes): every id at or below it finished writing before the
+  // listings began, so none can be missing from them. Ids above it wait
+  // for a later poll, so the cursor never passes an id still in flight.
+  const uint64_t visible = messages_->visible_through();
   MWS_ASSIGN_OR_RETURN(std::vector<store::PolicyRow> grants,
                        GrantsFor(rc_identity));
   const bool time_filtered = from_micros != 0 || to_micros != 0;
@@ -63,15 +68,14 @@ MessageManagementSystem::FetchChunkFor(const std::string& rc_identity,
   // attribute, so each id maps to exactly one AID.
   std::vector<std::pair<uint64_t, size_t>> ids;  // (message id, grant index)
   for (size_t g = 0; g < grants.size(); ++g) {
-    std::vector<uint64_t> batch;
-    if (time_filtered) {
-      batch = messages_->IdsByAttributeInTimeRange(grants[g].attribute,
-                                                   from_micros, to_micros);
-      std::erase_if(batch, [after_id](uint64_t id) { return id <= after_id; });
-    } else {
-      batch = messages_->IdsByAttributeAfter(grants[g].attribute, after_id);
+    std::vector<uint64_t> batch =
+        time_filtered
+            ? messages_->IdsByAttributeInTimeRange(grants[g].attribute,
+                                                   from_micros, to_micros)
+            : messages_->IdsByAttributeAfter(grants[g].attribute, after_id);
+    for (uint64_t id : batch) {
+      if (id > after_id && id <= visible) ids.emplace_back(id, g);
     }
-    for (uint64_t id : batch) ids.emplace_back(id, g);
   }
   std::sort(ids.begin(), ids.end());
 

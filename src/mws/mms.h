@@ -39,15 +39,16 @@ class MessageManagementSystem {
     /// More matching records exist beyond this chunk.
     bool has_more = false;
     /// Pass as `after_id` to fetch the next chunk; equals the request's
-    /// after_id when the chunk is empty.
+    /// after_id when the chunk is empty. Never passes the watermark.
     uint64_t next_after_id = 0;
   };
 
-  /// The one fetch: records visible to `rc_identity` with id > after_id,
-  /// in id order, attribute field replaced by the RC's AID for that
-  /// attribute. A non-empty [from_micros, to_micros) window additionally
-  /// restricts results to deposit timestamps in that range
-  /// (billing-period queries). Ranks the *ids* matching the RC's grants
+  /// The one fetch: records visible to `rc_identity` with id > after_id
+  /// and at most MessageDb::visible_through() (read first), in id order,
+  /// attribute field replaced by the RC's AID for that attribute. A
+  /// non-empty [from_micros, to_micros) window additionally restricts
+  /// results to deposit timestamps in that range (billing-period
+  /// queries). Ranks the *ids* matching the RC's grants
   /// first (a key-only index walk — no ciphertext is materialized for
   /// messages beyond the chunk), then fetches only the `max_messages`
   /// smallest; UINT32_MAX serves the whole backlog in one chunk.

@@ -1,6 +1,7 @@
 #include "src/mws/mws_service.h"
 
 #include <limits>
+#include <span>
 
 #include "src/ibe/attribute.h"
 #include "src/mws/policy_expr.h"
@@ -117,31 +118,18 @@ util::Result<wire::DepositResponse> MwsService::Deposit(
     const wire::DepositRequest& request) {
   obs::ScopedTimer timer(deposit_obs_.latency);
   obs::Span span = obs::Tracer::MaybeStartTrace(options_.tracer, "mws.deposit");
-  util::Result<wire::DepositResponse> result = DepositImpl(request, span);
+  // A single deposit is a one-item batch; the item's wire error carries
+  // its exact status.
+  util::Result<wire::DepositResponse> result =
+      [&]() -> util::Result<wire::DepositResponse> {
+    MWS_ASSIGN_OR_RETURN(wire::DepositBatchResponse batch,
+                         DepositBatchImpl({&request, 1}, span));
+    const wire::DepositBatchResponse::Item& item = batch.items.front();
+    if (!item.ok) return wire::DecodeWireError(item.error);
+    return wire::DepositResponse{item.message_id};
+  }();
   CountOutcome(result, deposit_obs_.requests, deposit_obs_.errors);
   return result;
-}
-
-util::Result<wire::DepositResponse> MwsService::DepositImpl(
-    const wire::DepositRequest& request, obs::Span& span) {
-  {
-    obs::Span verify = span.Child("sda.verify");
-    MWS_RETURN_IF_ERROR(sda_.Verify(request));
-  }
-  MWS_RETURN_IF_ERROR(ibe::ValidateAttribute(request.attribute));
-  store::StoredMessage m;
-  m.u = request.u;
-  m.ciphertext = request.ciphertext;
-  m.attribute = request.attribute;
-  m.nonce = request.nonce;
-  m.device_id = request.device_id;
-  m.timestamp_micros = request.timestamp_micros;
-  // At-least-once delivery: a device whose ack was lost retransmits the
-  // identical deposit, so dedupe by (ID_SD, nonce) instead of storing twice.
-  obs::Span append = span.Child("md.append");
-  MWS_ASSIGN_OR_RETURN(store::MessageDb::AppendOutcome outcome,
-                       message_db_.AppendDeduped(m));
-  return wire::DepositResponse{outcome.id};
 }
 
 util::Result<wire::DepositBatchResponse> MwsService::DepositBatch(
@@ -150,7 +138,7 @@ util::Result<wire::DepositBatchResponse> MwsService::DepositBatch(
   obs::Span span =
       obs::Tracer::MaybeStartTrace(options_.tracer, "mws.deposit_batch");
   util::Result<wire::DepositBatchResponse> result =
-      DepositBatchImpl(request, span);
+      DepositBatchImpl(request.items, span);
   CountOutcome(result, deposit_batch_obs_.requests, deposit_batch_obs_.errors);
   const uint64_t elapsed_us =
       static_cast<uint64_t>(obs::SteadyNowMicros() - start_us);
@@ -170,20 +158,19 @@ util::Result<wire::DepositBatchResponse> MwsService::DepositBatch(
 }
 
 util::Result<wire::DepositBatchResponse> MwsService::DepositBatchImpl(
-    const wire::DepositBatchRequest& request, obs::Span& span) {
+    std::span<const wire::DepositRequest> items, obs::Span& span) {
   wire::DepositBatchResponse response;
-  response.items.resize(request.items.size());
+  response.items.resize(items.size());
 
-  // Per-item admission: a bad MAC or attribute rejects that item only,
-  // exactly as N independent Deposits would. Valid items proceed to one
-  // grouped append.
+  // Per-item admission: a bad MAC or attribute rejects that item only.
+  // Valid items proceed to one grouped append.
   std::vector<store::StoredMessage> valid;
   std::vector<size_t> valid_index;  // position of valid[i] in the request
-  valid.reserve(request.items.size());
+  valid.reserve(items.size());
   {
-    obs::Span verify = span.Child("sda.verify_batch");
-    for (size_t i = 0; i < request.items.size(); ++i) {
-      const wire::DepositRequest& item = request.items[i];
+    obs::Span verify = span.Child("sda.verify");
+    for (size_t i = 0; i < items.size(); ++i) {
+      const wire::DepositRequest& item = items[i];
       util::Status admitted = sda_.Verify(item);
       if (admitted.ok()) admitted = ibe::ValidateAttribute(item.attribute);
       if (!admitted.ok()) {
@@ -204,9 +191,11 @@ util::Result<wire::DepositBatchResponse> MwsService::DepositBatchImpl(
   }
 
   if (!valid.empty()) {
-    obs::Span append = span.Child("md.append_batch");
+    // At-least-once delivery: a device whose ack was lost retransmits
+    // the identical deposit, which the append dedupes by (ID_SD, nonce).
+    obs::Span append = span.Child("md.append");
     MWS_ASSIGN_OR_RETURN(std::vector<store::MessageDb::AppendOutcome> outcomes,
-                         message_db_.AppendDedupedBatch(valid));
+                         message_db_.Append(valid));
     for (size_t v = 0; v < outcomes.size(); ++v) {
       response.items[valid_index[v]].ok = true;
       response.items[valid_index[v]].message_id = outcomes[v].id;

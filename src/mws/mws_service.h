@@ -2,6 +2,7 @@
 #define MWSIBE_MWS_MWS_SERVICE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "src/mws/gatekeeper.h"
@@ -112,16 +113,18 @@ class MwsService {
   // --- Protocol operations (Fig. 4 phases 1 and 2) ---
 
   /// SD–MWS phase: authenticate the device, verify integrity, store.
+  /// Served as a one-item DepositBatch under its own instruments; fails
+  /// with the item's status when the item is rejected.
   util::Result<wire::DepositResponse> Deposit(
       const wire::DepositRequest& request);
 
   /// Batched SD–MWS phase: each item is MAC-verified independently and
   /// reported per-item (a bad MAC rejects that item, not the batch), and
-  /// the valid items are appended through MessageDb::AppendDedupedBatch
-  /// — one shard-lock acquisition per shard instead of one per message.
-  /// Outcomes are bit-identical to calling Deposit per item in order,
-  /// including retransmit dedup within and across batches. Only a
-  /// storage failure fails the whole call (retry-safe).
+  /// the valid items go through one MessageDb::Append — one shard-lock
+  /// acquisition per shard instead of one per message. Outcomes are
+  /// bit-identical to calling Deposit per item in order, including
+  /// retransmit dedup within and across batches. Only a storage failure
+  /// fails the whole call (retry-safe).
   util::Result<wire::DepositBatchResponse> DepositBatch(
       const wire::DepositBatchRequest& request);
 
@@ -165,10 +168,9 @@ class MwsService {
   };
   OpInstruments ResolveOp(const char* op);
 
-  util::Result<wire::DepositResponse> DepositImpl(
-      const wire::DepositRequest& request, obs::Span& span);
+  /// The one deposit path behind Deposit and DepositBatch.
   util::Result<wire::DepositBatchResponse> DepositBatchImpl(
-      const wire::DepositBatchRequest& request, obs::Span& span);
+      std::span<const wire::DepositRequest> items, obs::Span& span);
   util::Result<wire::RetrieveChunkResponse> RetrieveChunkImpl(
       const wire::RetrieveChunkRequest& request, obs::Span& span);
 

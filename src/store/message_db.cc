@@ -1,9 +1,8 @@
 #include "src/store/message_db.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <set>
+#include <iterator>
 
 #include "src/util/hex.h"
 #include "src/util/serde.h"
@@ -92,25 +91,15 @@ MessageDb::MessageDb(Table* table, obs::Registry* metrics) : table_(table) {
     uint64_t next = 0;
     util::Reader r(counter.value());
     if (r.GetU64(&next) && r.Done() && next > 0) {
-      next_id_.store(next, std::memory_order_relaxed);
+      next_id_ = next;
       persisted_next_ = next;
     }
   }
 }
 
-util::Status MessageDb::WriteRecords(const StoredMessage& stored) {
-  MWS_RETURN_IF_ERROR(table_->Put(MessageKey(stored.id), stored.Encode()));
-  MWS_RETURN_IF_ERROR(
-      table_->Put(IndexKey(stored.attribute, stored.id), {}));
-  MWS_RETURN_IF_ERROR(table_->Put(
-      TimeIndexKey(stored.attribute, stored.timestamp_micros, stored.id),
-      {}));
-  return PersistCounter(stored.id + 1);
-}
-
 util::Status MessageDb::PersistCounter(uint64_t next) {
-  // Appends can finish out of id order, so only ever write a value
-  // larger than the last one persisted.
+  // Concurrent appends can persist out of block order, so only ever
+  // write a value larger than the last one persisted.
   std::lock_guard<std::mutex> lock(counter_mutex_);
   if (next > persisted_next_) {
     util::Writer w;
@@ -121,165 +110,146 @@ util::Status MessageDb::PersistCounter(uint64_t next) {
   return util::Status::Ok();
 }
 
-util::Result<uint64_t> MessageDb::Append(const StoredMessage& message) {
-  const uint64_t next = next_id_.fetch_add(1, std::memory_order_relaxed);
-  StoredMessage stored = message;
-  stored.id = next;
-
-  util::Status write = WriteRecords(stored);
-  if (!write.ok()) {
-    // Hand the id back if no later append claimed one meanwhile, so a
-    // healed retry reuses it. Under concurrency the id is simply skipped
-    // — uniqueness and monotonicity hold either way.
-    uint64_t expected = next + 1;
-    next_id_.compare_exchange_strong(expected, next,
-                                     std::memory_order_relaxed);
-    return write;
-  }
-  if (appends_counter_ != nullptr) appends_counter_->Increment();
-  return next;
-}
-
-util::Result<MessageDb::AppendOutcome> MessageDb::AppendDeduped(
-    const StoredMessage& message) {
-  if (message.device_id.empty() || message.nonce.empty()) {
-    MWS_ASSIGN_OR_RETURN(uint64_t id, Append(message));
-    return AppendOutcome{id, false};
-  }
-  const std::string dedup_key = DedupKey(message.device_id, message.nonce);
-  StoredMessage stored = message;
-  stored.id = 0;
-
-  auto marker = table_->Get(dedup_key);
-  if (marker.ok()) {
-    uint64_t reserved = 0;
-    util::Reader r(marker.value());
-    if (r.GetU64(&reserved) && r.Done() && reserved > 0) {
-      // Completeness check over every key the append writes: the
-      // retransmit carries identical fields, so the keys reconstruct
-      // exactly. All present -> pure retransmit, nothing to do.
-      if (table_->Contains(MessageKey(reserved)) &&
-          table_->Contains(IndexKey(stored.attribute, reserved)) &&
-          table_->Contains(TimeIndexKey(stored.attribute,
-                                        stored.timestamp_micros, reserved))) {
-        dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (dedup_counter_ != nullptr) dedup_counter_->Increment();
-        return AppendOutcome{reserved, true};
-      }
-      // A torn earlier attempt: resume the reserved id and rewrite the
-      // same keys (idempotent), so the partial records already visible
-      // complete instead of duplicating under a fresh id.
-      stored.id = reserved;
-    }
-  }
-  if (stored.id == 0) {
-    stored.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    // Reserve before writing anything else: if any later write fails
-    // the retry finds the marker and resumes this id.
-    util::Writer w;
-    w.PutU64(stored.id);
-    MWS_RETURN_IF_ERROR(table_->Put(dedup_key, w.Take()));
-  }
-  MWS_RETURN_IF_ERROR(WriteRecords(stored));
-  if (appends_counter_ != nullptr) appends_counter_->Increment();
-  return AppendOutcome{stored.id, false};
-}
-
-util::Result<std::vector<MessageDb::AppendOutcome>>
-MessageDb::AppendDedupedBatch(const std::vector<StoredMessage>& messages) {
+util::Result<std::vector<MessageDb::AppendOutcome>> MessageDb::Append(
+    const std::vector<StoredMessage>& messages) {
   std::vector<AppendOutcome> outcomes(messages.size());
-  // Classification pass: decide every message's id before writing
-  // anything, mirroring what sequential AppendDeduped calls would do.
-  // `batch_assigned` maps dedup keys claimed earlier in this batch so an
-  // intra-batch retransmit resolves to the first occurrence's id — by the
-  // time a sequential run reached it, the first copy's records would be
-  // fully written and it would dedup.
-  std::map<std::string, uint64_t> batch_assigned;
+  // Classification: decide every message's fate before writing anything.
   struct Pending {
-    StoredMessage stored;
+    StoredMessage stored;   // id 0: takes a fresh id
+    size_t source;          // position in `messages`
+    std::string dedup_key;  // empty: not deduplicated
   };
   std::vector<Pending> to_write;
-  std::vector<std::pair<std::string, util::Bytes>> fresh_markers;
+  std::map<std::string, size_t> first_occurrence;
+  std::vector<std::pair<size_t, size_t>> repeats;  // (message, first)
+  std::vector<std::string> stale_records;  // torn appends' abandoned ids
   size_t dedup_count = 0;
+  uint64_t fresh = 0;
 
   for (size_t i = 0; i < messages.size(); ++i) {
     StoredMessage stored = messages[i];
     stored.id = 0;
-    if (stored.device_id.empty() || stored.nonce.empty()) {
-      // Non-dedupable message: plain Append semantics, no marker.
-      stored.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-      outcomes[i] = AppendOutcome{stored.id, false};
-      to_write.push_back(Pending{std::move(stored)});
-      continue;
-    }
-    const std::string dedup_key = DedupKey(stored.device_id, stored.nonce);
-    if (auto it = batch_assigned.find(dedup_key);
-        it != batch_assigned.end()) {
-      outcomes[i] = AppendOutcome{it->second, true};
-      ++dedup_count;
-      continue;
-    }
-    auto marker = table_->Get(dedup_key);
-    uint64_t reserved = 0;
-    if (marker.ok()) {
-      util::Reader r(marker.value());
-      uint64_t parsed = 0;
-      if (r.GetU64(&parsed) && r.Done() && parsed > 0) reserved = parsed;
-    }
-    if (reserved != 0) {
-      batch_assigned[dedup_key] = reserved;
-      if (table_->Contains(MessageKey(reserved)) &&
-          table_->Contains(IndexKey(stored.attribute, reserved)) &&
-          table_->Contains(TimeIndexKey(stored.attribute,
-                                        stored.timestamp_micros, reserved))) {
-        outcomes[i] = AppendOutcome{reserved, true};
-        ++dedup_count;
+    std::string dedup_key;
+    if (!stored.device_id.empty() && !stored.nonce.empty()) {
+      dedup_key = DedupKey(stored.device_id, stored.nonce);
+      auto [first, inserted] = first_occurrence.emplace(dedup_key, i);
+      if (!inserted) {
+        repeats.emplace_back(i, first->second);
         continue;
       }
-      // Torn earlier attempt: resume the reserved id, rewrite its keys.
-      stored.id = reserved;
-    } else {
-      stored.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-      batch_assigned[dedup_key] = stored.id;
-      util::Writer w;
-      w.PutU64(stored.id);
-      fresh_markers.emplace_back(dedup_key, w.Take());
+      uint64_t reserved = 0;
+      if (auto marker = table_->Get(dedup_key); marker.ok()) {
+        util::Reader r(marker.value());
+        if (!r.GetU64(&reserved) || !r.Done()) reserved = 0;
+      }
+      if (reserved != 0) {
+        // Not while the append that reserved the id runs on: its keys
+        // would land after anything read here. Once it has returned, the
+        // reads below are stable.
+        {
+          std::lock_guard<std::mutex> lock(id_mutex_);
+          auto block = in_flight_.upper_bound(reserved);
+          if (block != in_flight_.begin() &&
+              reserved < std::prev(block)->second) {
+            return util::Status::Unavailable(
+                "an append of this message is still in progress");
+          }
+        }
+        // The earlier attempt's record is authoritative: a retransmit is
+        // stamped afresh and may name another attribute, so only the
+        // record names the index keys. Records land before attribute-index
+        // keys, and those before time-index keys.
+        auto earlier = Get(reserved);
+        if (!earlier.ok() ||
+            !table_->Contains(IndexKey(earlier->attribute, reserved))) {
+          // Torn before its attribute-index key landed, so a cursor may
+          // have passed the reserved id and no reader has seen it: drop
+          // the record and take a fresh id.
+          if (earlier.ok()) stale_records.push_back(MessageKey(reserved));
+        } else if (table_->Contains(TimeIndexKey(earlier->attribute,
+                                                 earlier->timestamp_micros,
+                                                 reserved))) {
+          outcomes[i] = AppendOutcome{reserved, true};
+          ++dedup_count;
+          continue;
+        } else {
+          // Torn after its attribute-index key landed, so a cursor may
+          // have delivered the reserved id: finish the append under it.
+          stored = std::move(earlier).value();
+          stored.id = reserved;
+        }
+      }
     }
-    outcomes[i] = AppendOutcome{stored.id, false};
-    to_write.push_back(Pending{std::move(stored)});
+    if (stored.id == 0) ++fresh;
+    to_write.push_back({std::move(stored), i, std::move(dedup_key)});
   }
 
-  // Phase 1: reserve every fresh id before any message record exists —
-  // the batch-wide marker-first invariant. A crash after this point is
-  // recovered by a retry resuming the reserved ids.
-  if (!fresh_markers.empty()) {
-    MWS_RETURN_IF_ERROR(table_->PutBatch(fresh_markers));
+  // The one allocation: a contiguous block of fresh ids, in flight until
+  // this call returns on any path. A failed append abandons its ids:
+  // handing one back could reissue an id that a written marker names.
+  uint64_t next = 0;
+  {
+    std::lock_guard<std::mutex> lock(id_mutex_);
+    next = next_id_;
+    next_id_ += fresh;
+    if (fresh > 0) in_flight_.emplace(next, next_id_);
   }
-  // Phase 2: every message record. Phase 3: every secondary-index key,
-  // then one counter bump past the batch's highest id. A table may apply
-  // one PutBatch in any cross-key order (KvStore goes shard by shard),
-  // so sharing a batch could let a reader list an id whose record is not
-  // there yet; separate batches keep an index entry from ever naming an
-  // invisible record.
+  struct InFlight {
+    MessageDb* db;
+    uint64_t first, count;
+    ~InFlight() {
+      if (count == 0) return;
+      std::lock_guard<std::mutex> lock(db->id_mutex_);
+      db->in_flight_.erase(first);
+    }
+  } block{this, next, fresh};
+
+  std::vector<std::pair<std::string, util::Bytes>> markers;
   std::vector<std::pair<std::string, util::Bytes>> records;
   std::vector<std::pair<std::string, util::Bytes>> index_keys;
+  std::vector<std::pair<std::string, util::Bytes>> time_keys;
   records.reserve(to_write.size());
-  index_keys.reserve(to_write.size() * 2);
-  uint64_t max_id = 0;
-  for (const Pending& p : to_write) {
+  index_keys.reserve(to_write.size());
+  time_keys.reserve(to_write.size());
+  for (Pending& p : to_write) {
+    if (p.stored.id == 0) {
+      p.stored.id = next++;
+      if (!p.dedup_key.empty()) {
+        util::Writer w;
+        w.PutU64(p.stored.id);
+        markers.emplace_back(std::move(p.dedup_key), w.Take());
+      }
+    }
+    outcomes[p.source] = AppendOutcome{p.stored.id, false};
     records.emplace_back(MessageKey(p.stored.id), p.stored.Encode());
     index_keys.emplace_back(IndexKey(p.stored.attribute, p.stored.id),
                             util::Bytes{});
-    index_keys.emplace_back(
+    time_keys.emplace_back(
         TimeIndexKey(p.stored.attribute, p.stored.timestamp_micros,
                      p.stored.id),
         util::Bytes{});
-    max_id = std::max(max_id, p.stored.id);
   }
+  for (const auto& [message, first] : repeats) {
+    outcomes[message] = AppendOutcome{outcomes[first].id, true};
+    ++dedup_count;
+  }
+
+  // The counter goes first, so a reopened store never reissues an id a
+  // marker names; stale records next. Then one table call per group: a
+  // table may apply one PutBatch in any cross-key order (KvStore goes
+  // shard by shard), so only separate calls keep an index entry from
+  // naming a record that is not yet visible, and a time-index entry
+  // from landing without its attribute-index entry (which decides a
+  // torn append's retry).
+  if (fresh > 0) MWS_RETURN_IF_ERROR(PersistCounter(next));
+  for (const std::string& key : stale_records) {
+    MWS_RETURN_IF_ERROR(table_->Delete(key));
+  }
+  if (!markers.empty()) MWS_RETURN_IF_ERROR(table_->PutBatch(markers));
   if (!records.empty()) {
     MWS_RETURN_IF_ERROR(table_->PutBatch(records));
     MWS_RETURN_IF_ERROR(table_->PutBatch(index_keys));
-    MWS_RETURN_IF_ERROR(PersistCounter(max_id + 1));
+    MWS_RETURN_IF_ERROR(table_->PutBatch(time_keys));
   }
   if (dedup_count > 0) {
     dedup_hits_.fetch_add(dedup_count, std::memory_order_relaxed);
@@ -298,7 +268,12 @@ util::Result<StoredMessage> MessageDb::Get(uint64_t id) const {
 
 util::Result<std::vector<StoredMessage>> MessageDb::FindByAttribute(
     const std::string& attribute) const {
-  return FindByAttributeAfter(attribute, 0);
+  std::vector<StoredMessage> out;
+  for (uint64_t id : IdsByAttributeAfter(attribute, 0)) {
+    MWS_ASSIGN_OR_RETURN(StoredMessage m, Get(id));
+    out.push_back(std::move(m));
+  }
+  return out;
 }
 
 std::vector<uint64_t> MessageDb::IdsByAttributeAfter(
@@ -331,35 +306,12 @@ std::vector<uint64_t> MessageDb::IdsByAttributeInTimeRange(
   return out;
 }
 
-util::Result<std::vector<StoredMessage>> MessageDb::FindByAttributeAfter(
-    const std::string& attribute, uint64_t after_id) const {
-  std::vector<StoredMessage> out;
-  for (uint64_t id : IdsByAttributeAfter(attribute, after_id)) {
-    MWS_ASSIGN_OR_RETURN(StoredMessage m, Get(id));
-    out.push_back(std::move(m));
-  }
-  return out;
-}
-
-util::Result<std::vector<StoredMessage>> MessageDb::FindByAttributes(
-    const std::vector<std::string>& attributes) const {
-  std::set<uint64_t> seen;
-  std::vector<StoredMessage> out;
-  for (const std::string& attribute : attributes) {
-    MWS_ASSIGN_OR_RETURN(std::vector<StoredMessage> batch,
-                         FindByAttribute(attribute));
-    for (auto& m : batch) {
-      if (seen.insert(m.id).second) out.push_back(std::move(m));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const StoredMessage& a, const StoredMessage& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
-
 size_t MessageDb::Count() const { return table_->CountPrefix("m/"); }
+
+uint64_t MessageDb::visible_through() const {
+  std::lock_guard<std::mutex> lock(id_mutex_);
+  return (in_flight_.empty() ? next_id_ : in_flight_.begin()->first) - 1;
+}
 
 util::Result<size_t> MessageDb::PruneThrough(uint64_t max_id) {
   size_t pruned = 0;

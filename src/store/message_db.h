@@ -2,6 +2,7 @@
 #define MWSIBE_STORE_MESSAGE_DB_H_
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,21 +34,18 @@ struct StoredMessage {
 /// attribute does not scan the full store.
 ///
 /// Concurrency: safe for concurrent use from many threads on top of a
-/// thread-safe Table. Ids come from an in-memory atomic counter seeded
-/// from the persisted "m.next" record at construction, so concurrent
-/// Appends never hand out duplicate ids and contend only on the table's
-/// shard/log locks. The counter record is still written (monotonically,
-/// under its own small mutex) so a reopened store resumes numbering.
+/// thread-safe Table. Each Append takes one contiguous block of fresh
+/// ids under a small mutex, seeded from the persisted "m.next" record at
+/// construction, and keeps the block in flight until its index keys are
+/// written or the append fails. visible_through() is how far no id is in
+/// flight: the bound a retrieval cursor may advance to.
 class MessageDb {
  public:
   /// Borrows `table`; the table must outlive the MessageDb. Reads the
-  /// persisted id counter to seed in-memory id assignment. `metrics`
-  /// (optional, must outlive the MessageDb) exposes `md.appends` and
-  /// `md.dedup_hits`.
+  /// persisted id counter to seed id assignment. `metrics` (optional,
+  /// must outlive the MessageDb) exposes `md.appends`, `md.dedup_hits`
+  /// and `md.pruned`.
   explicit MessageDb(Table* table, obs::Registry* metrics = nullptr);
-
-  /// Stores `message` (its id field is ignored) and returns the assigned id.
-  util::Result<uint64_t> Append(const StoredMessage& message);
 
   struct AppendOutcome {
     uint64_t id = 0;
@@ -56,34 +54,34 @@ class MessageDb {
     bool deduplicated = false;
   };
 
-  /// At-least-once safe append: dedupes retransmissions by
-  /// (device_id, nonce) so a client that retries after a lost ack
-  /// cannot double-store. A dedup marker "n/<ID_SD>/<nonce>" -> id is
-  /// reserved *before* the message records are written; a retry of a
-  /// torn append therefore resumes the reserved id and rewrites the
-  /// same keys (idempotent) instead of allocating a fresh id — no
-  /// duplicate ever becomes visible through the indexes. Assumes one
-  /// client retries a given (device, nonce) serially, which the
-  /// store-and-forward device model guarantees.
-  util::Result<AppendOutcome> AppendDeduped(const StoredMessage& message);
-
-  /// Batched AppendDeduped: same per-message outcomes as calling
-  /// AppendDeduped sequentially (including intra-batch retransmits, which
-  /// dedup against the first occurrence), but the table work is grouped
-  /// into three PutBatch calls — all fresh dedup markers, then every
-  /// message record, then every index key — so a KvStore backend takes
-  /// each shard lock once per batch instead of once per key. Marker-first
-  /// ordering holds batch-wide, so a crash between the phases is
-  /// recovered exactly like a torn single-shot append: the retry resumes
-  /// the reserved ids. Record-before-index ordering holds batch-wide
-  /// too, so a concurrent reader never lists an id whose record it
-  /// cannot Get, whatever order the table applies one batch in. A
-  /// storage failure fails the whole call; retrying the batch is safe
-  /// (at-least-once, absorbed by the markers).
-  util::Result<std::vector<AppendOutcome>> AppendDedupedBatch(
+  /// The one append. Stores `messages` (their id fields are ignored) and
+  /// returns one outcome per message, in order.
+  ///
+  /// At-least-once safe: a message with a device id and a nonce is
+  /// deduplicated by (device_id, nonce), so a client that retries after
+  /// a lost ack cannot double-store, and a repeat within one call
+  /// resolves to its first occurrence. A dedup marker
+  /// "n/<ID_SD>/<nonce>" -> id is written before the message records.
+  /// While the append that reserved the marker's id is still running, a
+  /// retransmit fails with kUnavailable (retryable). Otherwise the record
+  /// that earlier append stored is authoritative, whatever the
+  /// retransmit's own timestamp (a device stamps each send afresh) or
+  /// other fields: with every key of that record present it is a dedup
+  /// hit. One that finds the marker but not every key finishes a torn
+  /// append: it keeps the reserved id and the earlier record once the
+  /// attribute-index key landed (a cursor may already have delivered that
+  /// id); otherwise it deletes the record if it landed and takes a fresh
+  /// id, so no cursor can have passed the id it ends up under.
+  ///
+  /// Writes the id counter, the dedup markers, the message records, the
+  /// attribute-index keys and the time-index keys, in that order, one
+  /// table call per group. A storage failure fails the whole call and
+  /// abandons its fresh ids; retrying the call is safe (the markers
+  /// absorb what landed).
+  util::Result<std::vector<AppendOutcome>> Append(
       const std::vector<StoredMessage>& messages);
 
-  /// Retransmissions absorbed by AppendDeduped.
+  /// Retransmissions absorbed by Append.
   uint64_t dedup_hits() const {
     return dedup_hits_.load(std::memory_order_relaxed);
   }
@@ -93,14 +91,6 @@ class MessageDb {
   /// All messages whose attribute equals `attribute`, in id order.
   util::Result<std::vector<StoredMessage>> FindByAttribute(
       const std::string& attribute) const;
-
-  /// Union over several attributes, deduplicated, in id order.
-  util::Result<std::vector<StoredMessage>> FindByAttributes(
-      const std::vector<std::string>& attributes) const;
-
-  /// Messages with id > `after_id` for one attribute (incremental fetch).
-  util::Result<std::vector<StoredMessage>> FindByAttributeAfter(
-      const std::string& attribute, uint64_t after_id) const;
 
   /// Ids (only) with id > after_id for one attribute, in id order. A
   /// key-only index walk: no message value is materialized, so chunked
@@ -120,11 +110,12 @@ class MessageDb {
   /// value (ciphertext) is materialized.
   size_t Count() const;
 
-  /// Highest id assigned so far (0 when empty). Monotone; ids may be
-  /// sparse after failed appends or pruning.
-  uint64_t last_assigned_id() const {
-    return next_id_.load(std::memory_order_relaxed) - 1;
-  }
+  /// The highest N such that no id <= N is in flight (allocated by an
+  /// Append that has neither written its index keys nor failed). Read
+  /// before listing an index, it bounds what that listing may deliver:
+  /// every id <= N finished writing before the listing began, so a
+  /// cursor that stops at N never passes an id a later listing shows.
+  uint64_t visible_through() const;
 
   /// Retention: deletes every stored message with id <= `max_id` —
   /// message record, both secondary indexes, and its dedup marker.
@@ -145,18 +136,18 @@ class MessageDb {
   std::vector<std::string> DistinctAttributes() const;
 
  private:
-  /// Writes the message record and both secondary indexes for `stored`
-  /// (whose id is already assigned), then advances the persisted
-  /// counter. Idempotent for a fixed id.
-  util::Status WriteRecords(const StoredMessage& stored);
   /// Bumps the persisted "m.next" counter to at least `next`.
   util::Status PersistCounter(uint64_t next);
 
   Table* table_;
-  /// Next id to assign; seeded from the persisted counter at open.
-  std::atomic<uint64_t> next_id_{1};
+  /// Guards next_id_ and in_flight_.
+  mutable std::mutex id_mutex_;
+  /// Next id to hand out.
+  uint64_t next_id_ = 1;
+  /// Every block whose Append has not finished: first id -> end id.
+  std::map<uint64_t, uint64_t> in_flight_;
   /// Guards persisted_next_ so the on-disk counter only moves forward
-  /// even when appends complete out of id order.
+  /// even when concurrent appends persist out of block order.
   std::mutex counter_mutex_;
   uint64_t persisted_next_ = 0;
   std::atomic<uint64_t> dedup_hits_{0};

@@ -129,6 +129,15 @@ Result<std::vector<Bytes>> ShardRouter::DecodeCompositeSession(
   if (!r.GetU32(&count)) {
     return Status::Unauthenticated("truncated composite session");
   }
+  // The count is client-supplied: check it before allocating for it.
+  if (expected_count != 0 && count != expected_count) {
+    return Status::Unauthenticated(
+        "composite session shard count mismatch (fleet resized?)");
+  }
+  // Each entry carries at least its 4-byte length prefix.
+  if (count > r.remaining() / 4) {
+    return Status::Unauthenticated("truncated composite session");
+  }
   std::vector<Bytes> sessions(count);
   for (uint32_t i = 0; i < count; ++i) {
     if (!r.GetBytes(&sessions[i])) {
@@ -137,10 +146,6 @@ Result<std::vector<Bytes>> ShardRouter::DecodeCompositeSession(
   }
   if (!r.Done()) {
     return Status::Unauthenticated("trailing bytes in composite session");
-  }
-  if (expected_count != 0 && count != expected_count) {
-    return Status::Unauthenticated(
-        "composite session shard count mismatch (fleet resized?)");
   }
   return sessions;
 }

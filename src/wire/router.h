@@ -85,7 +85,9 @@ class ShardMap {
 /// Id space: a shard's local id L on shard S becomes router id
 /// L * shard_count + S — injective across shards and order-preserving
 /// per shard, so per-shard cursors decompose from a router cursor with
-/// pure arithmetic (LocalAfter) and no cursor state in the router.
+/// pure arithmetic (LocalAfter) and no cursor state in the router. Not
+/// order-preserving across shards: an incremental poll's cursor can
+/// pass a lagging shard's later deposits (DESIGN.md §14).
 ///
 /// Deployment contract: the control plane (device registrations, RC
 /// registrations, attribute grants) must be replicated onto every shard

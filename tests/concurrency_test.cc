@@ -1,27 +1,35 @@
 // Concurrency tests for the parallel request path: the striped-lock
-// KvStore, MessageDb's atomic id allocation, and the full MWS/PKG
-// protocol under multi-threaded load over real TCP. Designed to run
-// under -DMWSIBE_SANITIZE=thread as well as plain builds.
+// KvStore, MessageDb's id allocation and retrieval watermark, and the
+// full MWS/PKG protocol under multi-threaded load over real TCP.
+// Designed to run under -DMWSIBE_SANITIZE=thread as well as plain builds.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <filesystem>
+#include <functional>
+#include <future>
+#include <limits>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/client/receiving_client.h"
 #include "src/client/smart_device.h"
 #include "src/crypto/rsa.h"
 #include "src/math/params.h"
+#include "src/mws/mms.h"
 #include "src/mws/mws_service.h"
 #include "src/pkg/pkg_service.h"
 #include "src/store/kvstore.h"
 #include "src/store/message_db.h"
+#include "src/store/policy_db.h"
 #include "src/wire/auth.h"
 #include "src/wire/tcp.h"
 
@@ -159,11 +167,12 @@ TEST(MessageDbConcurrencyTest, ConcurrentAppendsYieldUniqueSequentialIds) {
         m.u = Bytes(8, 1);
         m.ciphertext = Bytes(8, 2);
         m.attribute = "CONC-" + std::to_string(t);
-        m.nonce = Bytes(16, 3);
+        m.nonce = BytesFromString("nonce-" + std::to_string(t) + "-" +
+                                  std::to_string(i));
         m.device_id = "SD";
-        auto id = db.Append(m);
-        ASSERT_TRUE(id.ok());
-        ids[t].push_back(id.value());
+        auto outcomes = db.Append({m});
+        ASSERT_TRUE(outcomes.ok());
+        ids[t].push_back(outcomes->front().id);
       }
     });
   }
@@ -184,10 +193,193 @@ TEST(MessageDbConcurrencyTest, ConcurrentAppendsYieldUniqueSequentialIds) {
   m.u = Bytes(8, 1);
   m.ciphertext = Bytes(8, 2);
   m.attribute = "CONC-0";
-  m.nonce = Bytes(16, 3);
+  m.nonce = BytesFromString("nonce-after-reopen");
   m.device_id = "SD";
-  EXPECT_EQ(recovered.Append(m).value(),
+  EXPECT_EQ(recovered.Append({m}).value().front().id,
             static_cast<uint64_t>(kThreads * kAppendsPerThread) + 1);
+}
+
+// --- Retrieval visibility watermark ---
+
+/// A Table that parks the first write of a key starting with `prefix`
+/// (by default an attribute-index "x/" key) until Release(): it holds
+/// one append between id allocation and that write, the window a
+/// retrieval cursor must not pass.
+class ParkingTable : public store::Table {
+ public:
+  explicit ParkingTable(store::Table* base, std::string prefix = "x/")
+      : base_(base), prefix_(std::move(prefix)) {}
+
+  /// Runs `hook` once, inside the next Contains of an "x/" key. With
+  /// `stale`, that Contains answers as the table stood before the hook.
+  void OnIndexContains(std::function<void()> hook, bool stale) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    hook_ = std::move(hook);
+    stale_ = stale;
+  }
+
+  /// Blocks until an append is parked.
+  void AwaitParked() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return parked_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  util::Status Put(const std::string& key, const Bytes& value) override {
+    if (key.rfind(prefix_, 0) == 0) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (!parked_) {
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_; });
+      }
+    }
+    return base_->Put(key, value);
+  }
+  util::Result<Bytes> Get(const std::string& key) const override {
+    return base_->Get(key);
+  }
+  util::Status Delete(const std::string& key) override {
+    return base_->Delete(key);
+  }
+  bool Contains(const std::string& key) const override {
+    bool answer = base_->Contains(key);
+    if (key.rfind("x/", 0) != 0) return answer;
+    std::function<void()> hook;
+    bool stale = false;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      hook = std::exchange(hook_, nullptr);
+      stale = stale_;
+    }
+    if (!hook) return answer;
+    hook();
+    return stale ? answer : base_->Contains(key);
+  }
+  std::vector<std::pair<std::string, Bytes>> Scan(
+      const std::string& prefix) const override {
+    return base_->Scan(prefix);
+  }
+  size_t Size() const override { return base_->Size(); }
+  util::Status Flush() override { return base_->Flush(); }
+
+ private:
+  store::Table* base_;
+  const std::string prefix_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+  mutable std::function<void()> hook_;
+  bool stale_ = false;
+};
+
+store::StoredMessage WatermarkMessage(int n) {
+  store::StoredMessage m;
+  m.u = Bytes(8, 1);
+  m.ciphertext = BytesFromString("m-" + std::to_string(n));
+  m.attribute = "A1";
+  m.nonce = BytesFromString("nonce-" + std::to_string(n));
+  m.device_id = "SD";
+  return m;
+}
+
+TEST(RetrievalWatermarkTest, ParkedAppendArrivesExactlyOnce) {
+  auto base = store::KvStore::Open({.path = ""}).value();
+  ParkingTable table(base.get());
+  store::MessageDb messages(&table);
+  store::PolicyDb policies(&table);
+  ASSERT_TRUE(policies.Grant("RC", "A1").ok());
+  mws::MessageManagementSystem mms(&messages, &policies);
+
+  // Message 1 takes id 1 and parks before its index write; message 2
+  // takes id 2 and lands.
+  std::thread parked(
+      [&] { ASSERT_TRUE(messages.Append({WatermarkMessage(1)}).ok()); });
+  table.AwaitParked();
+  ASSERT_EQ(messages.Append({WatermarkMessage(2)}).value().front().id, 2u);
+
+  std::vector<uint64_t> delivered;
+  auto poll = [&](uint64_t after_id) {
+    auto chunk = mms.FetchChunkFor("RC", after_id, 0, 0,
+                                   std::numeric_limits<uint32_t>::max());
+    EXPECT_TRUE(chunk.ok()) << chunk.status();
+    for (const auto& m : chunk->messages) delivered.push_back(m.message_id);
+    return chunk->next_after_id;
+  };
+  // The cursor must not pass id 1 while it is in flight.
+  uint64_t cursor = poll(0);
+  EXPECT_LT(cursor, 1u);
+  table.Release();
+  parked.join();
+  poll(cursor);
+  EXPECT_EQ(delivered, (std::vector<uint64_t>{1, 2}));
+}
+
+// A retransmit arrives while the append that reserved its id is parked
+// at a write. It must be refused, retryably, before it reads any of that
+// id's keys. The hook lets the parked append finish during the
+// retransmit's index-key read, so one that read first would decide on
+// what it saw before that append finished. Its retry is a dedup hit, and
+// one copy stands, under id 1, with the original's timestamp and every
+// index entry resolving.
+void RetransmitWhileItsIdIsInFlight(const std::string& park_prefix,
+                                    bool stale_index_read) {
+  auto base = store::KvStore::Open({.path = ""}).value();
+  ParkingTable table(base.get(), park_prefix);
+  store::MessageDb messages(&table);
+
+  std::promise<void> finished;
+  std::shared_future<void> original_done = finished.get_future().share();
+  std::thread original([&] {
+    EXPECT_TRUE(messages.Append({WatermarkMessage(1)}).ok());
+    finished.set_value();
+  });
+  table.AwaitParked();
+  table.OnIndexContains(
+      [&] {
+        table.Release();
+        original_done.wait();
+      },
+      stale_index_read);
+
+  store::StoredMessage resent = WatermarkMessage(1);
+  resent.timestamp_micros = 7;  // a device stamps each send afresh
+  auto early = messages.Append({resent});
+  EXPECT_TRUE(early.status().IsUnavailable()) << early.status();
+  table.OnIndexContains(nullptr, false);
+  table.Release();
+  original.join();
+
+  auto retried = messages.Append({resent});
+  ASSERT_TRUE(retried.ok()) << retried.status();
+  EXPECT_EQ(retried->front().id, 1u);
+  EXPECT_TRUE(retried->front().deduplicated);
+  EXPECT_EQ(messages.Count(), 1u);
+  EXPECT_EQ(messages.IdsByAttributeAfter("A1", 0), std::vector<uint64_t>{1});
+  auto stored = messages.Get(1);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  EXPECT_EQ(stored->timestamp_micros, 0);
+  EXPECT_EQ(messages.IdsByAttributeInTimeRange("A1", 0, 1'000'000),
+            std::vector<uint64_t>{1});
+}
+
+TEST(RetrievalWatermarkTest, RetransmitWaitsForTheReservedIdsIndexWrite) {
+  // The record landed and the index key has not: a retransmit reading
+  // now would see the record but no index key.
+  RetransmitWhileItsIdIsInFlight("x/", /*stale_index_read=*/true);
+}
+
+TEST(RetrievalWatermarkTest, RetransmitWaitsForTheReservedIdsRecordWrite) {
+  // Only the marker landed: a retransmit reading now would find no
+  // record, then the index key once the parked append finished.
+  RetransmitWhileItsIdIsInFlight("m/", /*stale_index_read=*/false);
 }
 
 // --- Full protocol stress over TCP ---
@@ -346,7 +538,7 @@ TEST(ServiceConcurrencyTest, DepositorsAndRetrieversOverTcp) {
   m.attribute = kAttribute;
   m.nonce = Bytes(16, 3);
   m.device_id = "SD-0";
-  EXPECT_GT(db.Append(m).value(), total_deposits);
+  EXPECT_GT(db.Append({m}).value().front().id, total_deposits);
   store::KvStore::RemoveFiles(path);
 }
 

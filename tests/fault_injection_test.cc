@@ -33,6 +33,50 @@ StoredMessage SampleMessage() {
   return m;
 }
 
+/// Appends one message.
+util::Result<MessageDb::AppendOutcome> AppendOne(MessageDb& db,
+                                                 const StoredMessage& m) {
+  MWS_ASSIGN_OR_RETURN(std::vector<MessageDb::AppendOutcome> outcomes,
+                       db.Append({m}));
+  return outcomes.front();
+}
+
+/// Applies a PutBatch last entry first, as a table may apply one batch
+/// in any cross-key order (KvStore goes shard by shard).
+class ReversingTable : public Table {
+ public:
+  explicit ReversingTable(Table* base) : base_(base) {}
+
+  util::Status Put(const std::string& key, const Bytes& value) override {
+    return base_->Put(key, value);
+  }
+  util::Status PutBatch(
+      const std::vector<std::pair<std::string, Bytes>>& entries) override {
+    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+      MWS_RETURN_IF_ERROR(base_->Put(it->first, it->second));
+    }
+    return util::Status::Ok();
+  }
+  util::Result<Bytes> Get(const std::string& key) const override {
+    return base_->Get(key);
+  }
+  util::Status Delete(const std::string& key) override {
+    return base_->Delete(key);
+  }
+  bool Contains(const std::string& key) const override {
+    return base_->Contains(key);
+  }
+  std::vector<std::pair<std::string, Bytes>> Scan(
+      const std::string& prefix) const override {
+    return base_->Scan(prefix);
+  }
+  size_t Size() const override { return base_->Size(); }
+  util::Status Flush() override { return base_->Flush(); }
+
+ private:
+  Table* base_;
+};
+
 class FaultInjectionTest : public ::testing::Test {
  protected:
   FaultInjectionTest()
@@ -50,23 +94,31 @@ TEST_F(FaultInjectionTest, MessageDbAppendPropagatesFailure) {
   StoredMessage m = SampleMessage();
 
   faulty_.FailWritesAfter(0);
-  auto result = db.Append(m);
+  auto result = AppendOne(db, m);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kIoError);
 
-  // After healing, appends work and ids remain sequential from 1.
+  // After healing, appends work. The failed append's id 1 is abandoned:
+  // never issued again and never listed.
   faulty_.Heal();
-  EXPECT_EQ(db.Append(m).value(), 1u);
+  auto healed = AppendOne(db, m);
+  ASSERT_TRUE(healed.ok()) << healed.status();
+  EXPECT_EQ(healed->id, 2u);
+  EXPECT_FALSE(healed->deduplicated);
+  EXPECT_TRUE(db.Get(1).status().IsNotFound());
+  EXPECT_EQ(db.IdsByAttributeAfter("A", 0), std::vector<uint64_t>{2});
 }
 
 TEST_F(FaultInjectionTest, MessageDbPartialAppendDoesNotCorruptReads) {
   MessageDb db(&faulty_);
-  StoredMessage m = SampleMessage();
-  ASSERT_TRUE(db.Append(m).ok());
+  ASSERT_TRUE(AppendOne(db, SampleMessage()).ok());
 
-  // Fail on the second write of the three-write append (the index).
-  faulty_.FailWritesAfter(1);
-  EXPECT_FALSE(db.Append(m).ok());
+  // A second message; fail its index write, the fourth of the append's
+  // writes (counter, marker, record, index).
+  StoredMessage second = SampleMessage();
+  second.nonce = Bytes(16, 4);
+  faulty_.FailWritesAfter(3);
+  EXPECT_FALSE(AppendOne(db, second).ok());
   faulty_.Heal();
 
   // The first message is still fully readable; a dangling record may
@@ -85,18 +137,20 @@ TEST_F(FaultInjectionTest, DiskFullFailsWithoutApplyingAndIsCounted) {
                      .code = util::StatusCode::kResourceExhausted,
                      .message = "store volume full"});
 
-  auto result = db.Append(SampleMessage());
+  auto result = AppendOne(db, SampleMessage());
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kResourceExhausted);
   EXPECT_EQ(faulty_.disk_full_faults(), 1u);
 
   // Unlike a torn write, nothing was applied: the retried append is a
-  // fresh store (id 1, not a dedup hit) and exactly one copy exists.
-  auto outcome = db.AppendDeduped(SampleMessage());
+  // fresh store (not a dedup hit) and exactly one copy exists. The
+  // failed append's id 1 is abandoned, never issued and never listed.
+  auto outcome = AppendOne(db, SampleMessage());
   ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome->id, 1u);
+  EXPECT_EQ(outcome->id, 2u);
   EXPECT_FALSE(outcome->deduplicated);
-  EXPECT_EQ(db.FindByAttribute("A")->size(), 1u);
+  EXPECT_TRUE(db.Get(1).status().IsNotFound());
+  EXPECT_EQ(db.IdsByAttributeAfter("A", 0), std::vector<uint64_t>{2});
 }
 
 TEST_F(FaultInjectionTest, PolicyDbGrantPropagatesFailure) {
@@ -206,33 +260,121 @@ TEST_F(FaultInjectionTest, TornAppendDedupedResumesReservedId) {
   MessageDb db(&faulty_);
   StoredMessage m = SampleMessage();
 
-  // Tear the message-record put (second write: marker first, then the
-  // message record): applied but acked as failed.
+  // Tear the attribute-index put (the writes go counter, marker,
+  // record, attribute-index then time-index keys): applied but acked as
+  // failed. Once the index key landed a cursor may have delivered id 1.
   injector_.AddRule({.kind = util::FaultKind::kTornWrite,
-                     .pattern = "table.put/m/",
+                     .pattern = "table.put/x/",
                      .nth = 1});
-  auto first = db.AppendDeduped(m);
-  EXPECT_FALSE(first.ok());
+  EXPECT_FALSE(AppendOne(db, m).ok());
 
   // The retransmit resumes the reserved id instead of double-storing.
-  auto second = db.AppendDeduped(m);
+  auto second = AppendOne(db, m);
   ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->id, 1u);
+  EXPECT_FALSE(second->deduplicated);
   auto visible = db.FindByAttribute("A");
   ASSERT_TRUE(visible.ok());
   EXPECT_EQ(visible->size(), 1u);
   EXPECT_EQ(visible->at(0).id, second->id);
+  EXPECT_EQ(db.IdsByAttributeInTimeRange("A", 0, 1),
+            std::vector<uint64_t>{1});
+}
+
+TEST_F(FaultInjectionTest, TornAppendBeforeIndexTakesAFreshId) {
+  MessageDb db(&faulty_);
+  StoredMessage m = SampleMessage();
+
+  // Tear the message-record put: the marker names id 1 and its record
+  // landed, but no index key did. A cursor may have passed id 1.
+  injector_.AddRule({.kind = util::FaultKind::kTornWrite,
+                     .pattern = "table.put/m/",
+                     .nth = 1});
+  EXPECT_FALSE(AppendOne(db, m).ok());
+  ASSERT_TRUE(db.Get(1).ok());
+
+  // The retransmit stores the message once, under a fresh id above
+  // every cursor, and drops the orphaned record so Count() stays exact.
+  auto second = AppendOne(db, m);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->id, 2u);
+  EXPECT_FALSE(second->deduplicated);
+  EXPECT_TRUE(db.Get(1).status().IsNotFound());
+  EXPECT_EQ(db.Count(), 1u);
+  EXPECT_EQ(db.IdsByAttributeAfter("A", 0), std::vector<uint64_t>{2});
+
+  // Its marker now names the fresh id: a further retransmit dedups.
+  auto third = AppendOne(db, m);
+  ASSERT_TRUE(third.ok());
+  EXPECT_TRUE(third->deduplicated);
+  EXPECT_EQ(third->id, 2u);
+}
+
+TEST_F(FaultInjectionTest, TimeIndexNeverLandsWithoutTheAttributeIndex) {
+  // Fail the attribute-index put of an append whose batches apply last
+  // entry first.
+  ReversingTable table(&faulty_);
+  MessageDb db(&table);
+  StoredMessage m = SampleMessage();
+  injector_.AddRule({.kind = util::FaultKind::kError,
+                     .pattern = "table.put/x/",
+                     .nth = 1});
+  EXPECT_FALSE(AppendOne(db, m).ok());
+
+  // The retransmit abandons id 1, so no time-window reader may have seen
+  // it: the window shows the message once, under its fresh id.
+  EXPECT_TRUE(db.IdsByAttributeInTimeRange("A", 0, 1).empty());
+  auto second = AppendOne(db, m);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->id, 2u);
+  EXPECT_EQ(db.IdsByAttributeInTimeRange("A", 0, 1),
+            std::vector<uint64_t>{2});
+  EXPECT_EQ(db.Count(), 1u);
+}
+
+TEST_F(FaultInjectionTest, ReopenedStoreNeverReissuesAReservedId) {
+  // Device A's append reserves id 1 (its marker lands), then fails
+  // before its record does, and the process dies. A reopened store must
+  // not hand id 1 to device B, or A's retry would resume id 1 and
+  // overwrite B's acked message.
+  injector_.AddRule({.kind = util::FaultKind::kError,
+                     .pattern = "table.put/m/",
+                     .nth = 1});
+  StoredMessage a = SampleMessage();
+  a.ciphertext = BytesFromString("device A");
+  a.device_id = "SD-A";
+  a.timestamp_micros = 100;
+  {
+    MessageDb before_crash(&faulty_);
+    ASSERT_FALSE(AppendOne(before_crash, a).ok());
+  }
+
+  MessageDb db(&faulty_);
+  StoredMessage b = SampleMessage();
+  b.ciphertext = BytesFromString("device B");
+  b.device_id = "SD-B";
+  b.timestamp_micros = 200;
+  auto b_id = AppendOne(db, b);
+  ASSERT_TRUE(b_id.ok()) << b_id.status();
+  auto a_id = AppendOne(db, a);
+  ASSERT_TRUE(a_id.ok()) << a_id.status();
+
+  EXPECT_NE(a_id->id, b_id->id);
+  EXPECT_EQ(db.Get(b_id->id)->ciphertext, b.ciphertext);
+  EXPECT_EQ(db.Get(a_id->id)->ciphertext, a.ciphertext);
+  EXPECT_EQ(db.Count(), 2u);
 }
 
 TEST_F(FaultInjectionTest, CompletedAppendDedupedIsDeduplicated) {
   MessageDb db(&faulty_);
   StoredMessage m = SampleMessage();
-  auto first = db.AppendDeduped(m);
+  auto first = AppendOne(db, m);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->deduplicated);
 
   // Retransmit of a fully stored deposit: same id, flagged, not stored
   // twice.
-  auto second = db.AppendDeduped(m);
+  auto second = AppendOne(db, m);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->deduplicated);
   EXPECT_EQ(second->id, first->id);

@@ -185,6 +185,27 @@ TEST(RouterAlgebraTest, CompositeSessionRejectsMalformedBlobs) {
           .ok());
 }
 
+TEST(RouterAlgebraTest, CompositeSessionCountIsCheckedBeforeAllocating) {
+  // 9 bytes claiming 0xFFFFFFFF sessions: the count is refused before
+  // anything is allocated for it, whether or not a count is expected.
+  Bytes bomb = {1, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0};
+  for (size_t expected : {size_t{2}, size_t{0}}) {
+    auto decoded = ShardRouter::DecodeCompositeSession(bomb, expected);
+    EXPECT_TRUE(decoded.status().IsUnauthenticated())
+        << "expected=" << expected << ": " << decoded.status();
+  }
+  // Through the router: a retrieval with that session is refused as
+  // unauthenticated before any shard is called.
+  wire::InProcessTransport shard0, shard1;
+  ShardRouter router(ShardMap(2), {&shard0, &shard1});
+  wire::RetrieveChunkRequest request;
+  request.session_id = bomb;
+  request.max_messages = 8;
+  auto response = router.Call("mws.retrieve_chunk", request.Encode());
+  EXPECT_TRUE(response.status().IsUnauthenticated()) << response.status();
+  EXPECT_EQ(router.shard_calls(0) + router.shard_calls(1), 0u);
+}
+
 // --- 1-vs-N equivalence ---
 
 struct ScriptResult {

@@ -248,31 +248,38 @@ class MessageDbTest : public ::testing::Test {
   MessageDbTest()
       : table_(KvStore::Open({.path = ""}).value()), db_(table_.get()) {}
 
+  /// A fresh message: every call draws its own nonce, as devices do.
   StoredMessage Make(const std::string& attr, const std::string& payload) {
     StoredMessage m;
     m.u = BytesFromString("rP-" + payload);
     m.ciphertext = BytesFromString(payload);
     m.attribute = attr;
-    m.nonce = BytesFromString("nonce16bytes----");
+    m.nonce = BytesFromString("nonce-" + std::to_string(++nonces_));
     m.device_id = "SD-1";
     m.timestamp_micros = 1234567;
     return m;
   }
 
+  /// Appends one message and returns its id.
+  uint64_t Append(const StoredMessage& m) {
+    return db_.Append({m}).value().front().id;
+  }
+
   std::unique_ptr<KvStore> table_;
   MessageDb db_;
+  int nonces_ = 0;
 };
 
 TEST_F(MessageDbTest, AppendAssignsSequentialIds) {
-  EXPECT_EQ(db_.Append(Make("A1", "m1")).value(), 1u);
-  EXPECT_EQ(db_.Append(Make("A1", "m2")).value(), 2u);
-  EXPECT_EQ(db_.Append(Make("A2", "m3")).value(), 3u);
+  EXPECT_EQ(Append(Make("A1", "m1")), 1u);
+  EXPECT_EQ(Append(Make("A1", "m2")), 2u);
+  EXPECT_EQ(Append(Make("A2", "m3")), 3u);
   EXPECT_EQ(db_.Count(), 3u);
 }
 
 TEST_F(MessageDbTest, RoundTripAllFields) {
   StoredMessage m = Make("ELECTRIC-APT-SV-CA", "ciphertext-bytes");
-  uint64_t id = db_.Append(m).value();
+  uint64_t id = Append(m);
   StoredMessage got = db_.Get(id).value();
   EXPECT_EQ(got.id, id);
   EXPECT_EQ(got.u, m.u);
@@ -284,9 +291,9 @@ TEST_F(MessageDbTest, RoundTripAllFields) {
 }
 
 TEST_F(MessageDbTest, FindByAttribute) {
-  db_.Append(Make("A1", "m1")).value();
-  db_.Append(Make("A2", "m2")).value();
-  db_.Append(Make("A1", "m3")).value();
+  Append(Make("A1", "m1"));
+  Append(Make("A2", "m2"));
+  Append(Make("A1", "m3"));
   auto a1 = db_.FindByAttribute("A1").value();
   ASSERT_EQ(a1.size(), 2u);
   EXPECT_EQ(a1[0].ciphertext, BytesFromString("m1"));
@@ -296,29 +303,55 @@ TEST_F(MessageDbTest, FindByAttribute) {
 
 TEST_F(MessageDbTest, AttributePrefixesDoNotCollide) {
   // "A1" must not match "A10" (index key framing).
-  db_.Append(Make("A1", "m1")).value();
-  db_.Append(Make("A10", "m2")).value();
+  Append(Make("A1", "m1"));
+  Append(Make("A10", "m2"));
   EXPECT_EQ(db_.FindByAttribute("A1").value().size(), 1u);
   EXPECT_EQ(db_.FindByAttribute("A10").value().size(), 1u);
 }
 
-TEST_F(MessageDbTest, FindByAttributesUnionDeduplicated) {
-  db_.Append(Make("A1", "m1")).value();
-  db_.Append(Make("A2", "m2")).value();
-  db_.Append(Make("A3", "m3")).value();
-  auto rows = db_.FindByAttributes({"A1", "A3", "A1"}).value();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].id, 1u);
-  EXPECT_EQ(rows[1].id, 3u);
+TEST_F(MessageDbTest, IncrementalFetchAfterId) {
+  Append(Make("A1", "m1"));
+  Append(Make("A1", "m2"));
+  uint64_t id3 = Append(Make("A1", "m3"));
+  EXPECT_EQ(db_.IdsByAttributeAfter("A1", 2), std::vector<uint64_t>{id3});
 }
 
-TEST_F(MessageDbTest, IncrementalFetchAfterId) {
-  db_.Append(Make("A1", "m1")).value();
-  db_.Append(Make("A1", "m2")).value();
-  uint64_t id3 = db_.Append(Make("A1", "m3")).value();
-  auto rows = db_.FindByAttributeAfter("A1", 2).value();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].id, id3);
+TEST_F(MessageDbTest, RestampedRetransmitIsADedupHit) {
+  // A device stamps every send afresh, so a retransmit after a lost ack
+  // carries a later timestamp than the stored original.
+  StoredMessage original = Make("A1", "m1");
+  original.timestamp_micros = 100;
+  ASSERT_EQ(Append(original), 1u);
+  StoredMessage resent = original;
+  resent.timestamp_micros = 200;
+  auto outcome = db_.Append({resent}).value().front();
+  EXPECT_EQ(outcome.id, 1u);
+  EXPECT_TRUE(outcome.deduplicated);
+  // The original record and its one time-index entry stand.
+  EXPECT_EQ(db_.Get(1)->timestamp_micros, 100);
+  EXPECT_EQ(db_.IdsByAttributeInTimeRange("A1", 0, 1000),
+            std::vector<uint64_t>{1});
+  // So retention leaves no time-index entry naming a pruned record.
+  ASSERT_EQ(db_.PruneThrough(1).value(), 1u);
+  EXPECT_TRUE(db_.IdsByAttributeInTimeRange("A1", 0, 1000).empty());
+}
+
+TEST_F(MessageDbTest, RetransmitUnderAnotherAttributeIsADedupHit) {
+  // A device that reuses a nonce under another attribute: the stored
+  // record stands, as when any other field differs.
+  StoredMessage original = Make("A1", "m1");
+  ASSERT_EQ(Append(original), 1u);
+  StoredMessage reused = original;
+  reused.attribute = "A2";
+  auto outcome = db_.Append({reused}).value().front();
+  EXPECT_EQ(outcome.id, 1u);
+  EXPECT_TRUE(outcome.deduplicated);
+  // The original's index entry still resolves.
+  EXPECT_EQ(db_.IdsByAttributeAfter("A1", 0), std::vector<uint64_t>{1});
+  ASSERT_TRUE(db_.Get(1).ok());
+  EXPECT_EQ(db_.Get(1)->attribute, "A1");
+  EXPECT_TRUE(db_.IdsByAttributeAfter("A2", 0).empty());
+  EXPECT_EQ(db_.Count(), 1u);
 }
 
 TEST_F(MessageDbTest, GetMissingIsNotFound) {
@@ -326,9 +359,9 @@ TEST_F(MessageDbTest, GetMissingIsNotFound) {
 }
 
 TEST_F(MessageDbTest, DistinctAttributes) {
-  db_.Append(Make("B", "m1")).value();
-  db_.Append(Make("A", "m2")).value();
-  db_.Append(Make("B", "m3")).value();
+  Append(Make("B", "m1"));
+  Append(Make("A", "m2"));
+  Append(Make("B", "m3"));
   auto attrs = db_.DistinctAttributes();
   ASSERT_EQ(attrs.size(), 2u);
   EXPECT_EQ(attrs[0], "A");
@@ -344,7 +377,7 @@ TEST_F(MessageDbTest, TimeRangeQueries) {
   constexpr int64_t kDay = 86'400'000'000ll;
   // A month of daily readings (timestamps out of insertion order).
   for (int64_t day : {5, 1, 20, 10, 15, 25, 30}) {
-    db_.Append(make_at(day * kDay)).value();
+    Append(make_at(day * kDay));
   }
   auto timestamps = [&](const std::vector<uint64_t>& ids) {
     std::vector<int64_t> out;
@@ -433,7 +466,7 @@ TEST(MessageDbBatchOrderTest, IndexNeverNamesAMissingRecord) {
     batch[i].device_id = "SD-1";
     batch[i].timestamp_micros = 1000 + static_cast<int64_t>(i);
   }
-  ASSERT_TRUE(db.AppendDedupedBatch(batch).ok());
+  ASSERT_TRUE(db.Append(batch).ok());
   EXPECT_GT(checks, 0u);
   EXPECT_EQ(orphans, 0u) << "an index listed an id before its record";
   EXPECT_EQ(db.IdsByAttributeAfter("A1", 0).size(), batch.size());
