@@ -50,7 +50,8 @@ BENCHMARK(BM_RevokeGrantRound);
 /// The running cost revocation imposes: every message needs its own PKG
 /// extraction (fresh nonce => fresh key). This measures an RC draining a
 /// backlog of N messages through FetchAndDecrypt: N extractions in one
-/// batched PKG round trip, then N decryptions on up to 4 threads.
+/// batched PKG round trip, fanned out over the PKG's hardware threads,
+/// then N decryptions fanned out over the RC's.
 void BM_PerMessageExtractionCost(benchmark::State& state) {
   auto s = UtilityScenario::Create({}).value();
   s->DepositReadings(state.range(0)).value();

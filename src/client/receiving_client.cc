@@ -1,11 +1,8 @@
 #include "src/client/receiving_client.h"
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
-
 #include "src/crypto/modes.h"
 #include "src/crypto/sealed_box.h"
+#include "src/util/parallel.h"
 #include "src/wire/auth.h"
 
 namespace mws::client {
@@ -159,14 +156,7 @@ util::Result<ibe::IbePrivateKey> ReceivingClient::RequestKey(
 
   util::Bytes channel_key = wire::DeriveChannelKey(pkg_session_key_, cipher_,
                                                    "rc-pkg-keydelivery");
-  MWS_ASSIGN_OR_RETURN(
-      util::Bytes key_bytes,
-      crypto::CbcDecrypt(cipher_, channel_key,
-                         response.encrypted_private_key));
-  MWS_ASSIGN_OR_RETURN(
-      math::EcPoint d,
-      params_.group->curve().DeserializeCompressed(key_bytes));
-  return ibe::IbePrivateKey{d};
+  return OpenKey(channel_key, response.encrypted_private_key);
 }
 
 util::Result<std::vector<util::Result<ibe::IbePrivateKey>>>
@@ -187,27 +177,28 @@ ReceivingClient::RequestKeysBatch(
   }
   util::Bytes channel_key = wire::DeriveChannelKey(pkg_session_key_, cipher_,
                                                    "rc-pkg-keydelivery");
-  std::vector<util::Result<ibe::IbePrivateKey>> out;
-  out.reserve(response.items.size());
-  for (const wire::KeyBatchResponse::Item& item : response.items) {
+  std::vector<util::Result<ibe::IbePrivateKey>> out(
+      response.items.size(), util::Status::Internal("not opened"));
+  util::ParallelFor(response.items.size(), [&](size_t i) {
+    const wire::KeyBatchResponse::Item& item = response.items[i];
     if (!item.ok) {
-      out.push_back(util::Status::PermissionDenied(
-          "extraction refused: " + util::StringFromBytes(item.payload)));
-      continue;
+      out[i] = util::Status::PermissionDenied(
+          "extraction refused: " + util::StringFromBytes(item.payload));
+      return;
     }
-    auto key_bytes = crypto::CbcDecrypt(cipher_, channel_key, item.payload);
-    if (!key_bytes.ok()) {
-      out.push_back(key_bytes.status());
-      continue;
-    }
-    auto d = params_.group->curve().DeserializeCompressed(key_bytes.value());
-    if (!d.ok()) {
-      out.push_back(d.status());
-      continue;
-    }
-    out.push_back(ibe::IbePrivateKey{d.value()});
-  }
+    out[i] = OpenKey(channel_key, item.payload);
+  });
   return out;
+}
+
+util::Result<ibe::IbePrivateKey> ReceivingClient::OpenKey(
+    const util::Bytes& channel_key, const util::Bytes& sealed) const {
+  MWS_ASSIGN_OR_RETURN(util::Bytes key_bytes,
+                       crypto::CbcDecrypt(cipher_, channel_key, sealed));
+  MWS_ASSIGN_OR_RETURN(
+      math::EcPoint d,
+      params_.group->curve().DeserializeCompressed(key_bytes));
+  return ibe::IbePrivateKey{d};
 }
 
 util::Result<util::Bytes> ReceivingClient::DecryptMessage(
@@ -229,24 +220,11 @@ util::Result<std::vector<ReceivedMessage>> ReceivingClient::DecryptAll(
                        RequestKeysBatch(items));
   for (const auto& key : keys) MWS_RETURN_IF_ERROR(key.status());
 
-  // Fan the pairing-heavy decryptions across a small worker pool. Each
-  // worker claims whole messages, so no two touch the same slot.
   std::vector<util::Result<util::Bytes>> plains(
       messages.size(), util::Status::Internal("not decrypted"));
-  std::atomic<size_t> next{0};
-  auto work = [&] {
-    for (size_t i = next++; i < messages.size(); i = next++) {
-      plains[i] = DecryptMessage(messages[i], keys[i].value());
-    }
-  };
-  unsigned hw = std::thread::hardware_concurrency();
-  size_t worker_count = std::min(
-      {messages.size(), static_cast<size_t>(hw == 0 ? 1 : hw), size_t{4}});
-  std::vector<std::thread> threads;
-  threads.reserve(worker_count - 1);
-  for (size_t t = 0; t + 1 < worker_count; ++t) threads.emplace_back(work);
-  work();
-  for (std::thread& t : threads) t.join();
+  util::ParallelFor(messages.size(), [&](size_t i) {
+    plains[i] = DecryptMessage(messages[i], keys[i].value());
+  });
 
   std::vector<ReceivedMessage> out;
   out.reserve(messages.size());

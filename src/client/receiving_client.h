@@ -71,9 +71,11 @@ class ReceivingClient {
 
   /// Batched variant: one round trip for many (AID, Nonce) pairs (the
   /// amortization a constrained link needs — one key per message is the
-  /// price of nonce-based revocation). Outer Result fails on transport
-  /// or session errors; inner entries carry per-item outcomes aligned
-  /// with `items`.
+  /// price of nonce-based revocation). The returned keys are opened (CBC
+  /// decrypt, then point decompression, one F_p square root each) under
+  /// util::ParallelFor, on every hardware thread. Outer Result fails on
+  /// transport or session errors; inner entries carry per-item outcomes
+  /// aligned with `items`.
   util::Result<std::vector<util::Result<ibe::IbePrivateKey>>>
   RequestKeysBatch(
       const std::vector<std::pair<uint64_t, util::Bytes>>& items);
@@ -83,13 +85,13 @@ class ReceivingClient {
                                            const ibe::IbePrivateKey& key);
 
   /// Decrypts retrieved records: one RequestKeysBatch round trip
-  /// extracts every key (the PKG batches the scalar multiplications
-  /// behind one shared Montgomery inversion), then DecryptMessage runs
-  /// per message across min(hardware threads, 4, n) workers. Plaintexts
-  /// are bit-identical to RequestKey + DecryptMessage per message, in
-  /// order. Fails with the status of the first key the PKG refused, or
-  /// else of the first record that does not open. Pre:
-  /// AuthenticateWithPkg() ok.
+  /// extracts every key (the PKG runs the extractions on all its cores
+  /// and shares one Montgomery inversion across them), then
+  /// DecryptMessage runs per message under util::ParallelFor, on
+  /// min(hardware threads, n) threads. Plaintexts are bit-identical to
+  /// RequestKey + DecryptMessage per message, in order. Fails with the
+  /// status of the first key the PKG refused, or else of the first
+  /// record that does not open. Pre: AuthenticateWithPkg() ok.
   util::Result<std::vector<ReceivedMessage>> DecryptAll(
       const std::vector<wire::RetrievedMessage>& messages);
 
@@ -116,6 +118,11 @@ class ReceivingClient {
   bool HasPkgSession() const { return !pkg_session_.empty(); }
 
  private:
+  /// CBC-decrypts one sealed key under `channel_key` and decompresses
+  /// the point: the RC's half of a key delivery.
+  util::Result<ibe::IbePrivateKey> OpenKey(const util::Bytes& channel_key,
+                                           const util::Bytes& sealed) const;
+
   std::string identity_;
   util::Bytes password_hash_;
   crypto::RsaKeyPair rsa_keys_;

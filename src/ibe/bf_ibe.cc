@@ -5,6 +5,7 @@
 #include "src/crypto/hash.h"
 #include "src/crypto/kdf.h"
 #include "src/math/precompute.h"
+#include "src/util/parallel.h"
 
 namespace mws::ibe {
 
@@ -101,15 +102,15 @@ IbePrivateKey BfIbe::ExtractFromPoint(const MasterKey& master,
 }
 
 std::vector<IbePrivateKey> BfIbe::ExtractBatch(
-    const MasterKey& master, const std::vector<EcPoint>& points) const {
+    const MasterKey& master, const std::vector<util::Bytes>& identities) const {
   const math::CurveGroup& curve = group_.curve();
-  std::vector<math::JacPoint> jac;
-  jac.reserve(points.size());
-  for (const EcPoint& q_id : points) {
+  std::vector<math::JacPoint> jac(identities.size());
+  util::ParallelFor(identities.size(), [&](size_t i) {
     // The Jacobian overload runs the identical wNAF ladder; only the
     // final normalization is deferred into the shared inversion below.
-    jac.push_back(curve.ScalarMul(master.s, curve.ToJacobian(q_id)));
-  }
+    jac[i] = curve.ScalarMul(master.s,
+                             curve.ToJacobian(HashToPoint(identities[i])));
+  });
   std::vector<EcPoint> affine = math::BatchToAffine(curve, jac);
   std::vector<IbePrivateKey> out;
   out.reserve(affine.size());

@@ -90,13 +90,14 @@ class BfIbe {
   /// Extract from a pre-computed identity point (the PKG's hot path).
   IbePrivateKey ExtractFromPoint(const MasterKey& master,
                                  const math::EcPoint& q_id) const;
-  /// Extract for many identity points at once: each d = s*Q runs the
-  /// same Jacobian ladder as ExtractFromPoint, but the final affine
-  /// normalizations share ONE field inversion (Montgomery's trick)
-  /// instead of paying one inversion per key. Results are bit-identical
-  /// to calling ExtractFromPoint per point, in order.
+  /// Extract for many identities at once: H1 and the Jacobian ladder
+  /// of d = s*Q run for every identity under util::ParallelFor, on all
+  /// hardware threads; the final affine normalizations then share ONE
+  /// field inversion (Montgomery's trick) instead of paying one per key.
+  /// Results are bit-identical to calling Extract per identity, in order.
   std::vector<IbePrivateKey> ExtractBatch(
-      const MasterKey& master, const std::vector<math::EcPoint>& points) const;
+      const MasterKey& master,
+      const std::vector<util::Bytes>& identities) const;
 
   /// BasicIdent encryption of an arbitrary-length message.
   BasicCiphertext Encrypt(const SystemParams& params,

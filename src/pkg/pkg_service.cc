@@ -239,34 +239,36 @@ util::Result<wire::KeyBatchResponse> PkgService::ExtractKeyBatch(
   wire::KeyBatchResponse response;
   response.items.resize(request.items.size());
 
-  // Authorization + identity hashing per item; the scalar
-  // multiplications of every authorized item then run as ONE
-  // BfIbe::ExtractBatch call, so the batch pays a single shared field
-  // inversion for all affine normalizations instead of one per key.
-  std::vector<math::EcPoint> points;
-  std::vector<size_t> point_index;  // position of points[i] in the request
-  points.reserve(request.items.size());
-  {
-    obs::Span hash = span.Child("ibe.hash_batch");
-    for (size_t i = 0; i < request.items.size(); ++i) {
-      const auto& [aid, nonce] = request.items[i];
-      auto it = session.aid_attributes.find(aid);
-      if (it == session.aid_attributes.end()) {
-        util::Status denied = util::Status::PermissionDenied(
-            "AID not authorized by ticket: " + std::to_string(aid));
-        response.items[i].ok = false;
-        response.items[i].payload = util::BytesFromString(denied.ToString());
-        continue;
-      }
-      util::Bytes identity =
-          ibe::DeriveIdentity(it->second, ibe::MessageNonce{nonce});
-      points.push_back(ibe_.HashToPoint(identity));
-      point_index.push_back(i);
+  // Authorization per item, in request order: a refused AID fails only
+  // its own item.
+  std::vector<util::Bytes> identities;
+  std::vector<size_t> granted;  // request position of identities[k]
+  identities.reserve(request.items.size());
+  for (size_t i = 0; i < request.items.size(); ++i) {
+    const auto& [aid, nonce] = request.items[i];
+    auto it = session.aid_attributes.find(aid);
+    if (it == session.aid_attributes.end()) {
+      util::Status denied = util::Status::PermissionDenied(
+          "AID not authorized by ticket: " + std::to_string(aid));
+      response.items[i].ok = false;
+      response.items[i].payload = util::BytesFromString(denied.ToString());
+      continue;
     }
+    identities.push_back(
+        ibe::DeriveIdentity(it->second, ibe::MessageNonce{nonce}));
+    granted.push_back(i);
   }
 
-  obs::Span extract = span.Child("ibe.extract_batch_seal");
-  std::vector<ibe::IbePrivateKey> keys = ibe_.ExtractBatch(master_, points);
+  std::vector<ibe::IbePrivateKey> keys;
+  {
+    obs::Span extract = span.Child("ibe.extract_batch");
+    keys = ibe_.ExtractBatch(master_, identities);
+  }
+
+  // Sealing stays serial and in request order: each CbcEncrypt draws its
+  // IV from rng_, so a seeded generator gives the same bytes as one
+  // ExtractKey call per item.
+  obs::Span seal = span.Child("ibe.seal_batch");
   util::Bytes channel_key = wire::DeriveChannelKey(
       session.session_key, options_.cipher, "rc-pkg-keydelivery");
   for (size_t k = 0; k < keys.size(); ++k) {
@@ -274,7 +276,7 @@ util::Result<wire::KeyBatchResponse> PkgService::ExtractKeyBatch(
         ibe_.group().curve().SerializeCompressed(keys[k].d);
     auto sealed =
         crypto::CbcEncrypt(options_.cipher, channel_key, key_bytes, rng_);
-    wire::KeyBatchResponse::Item& item = response.items[point_index[k]];
+    wire::KeyBatchResponse::Item& item = response.items[granted[k]];
     if (sealed.ok()) {
       item.ok = true;
       item.payload = std::move(sealed).value();

@@ -58,7 +58,9 @@ struct PkgSession {
 /// concurrent authentications on distinct sessions touch disjoint
 /// locks; extraction itself runs lock-free on a session copy — the IBE
 /// layer holds no mutable state. The injected RandomSource is wrapped in
-/// a util::LockedRandom internally.
+/// a util::LockedRandom internally. ExtractKeyBatch also fans its items'
+/// H1 and s*Q out across every hardware thread (util::ParallelFor), so
+/// one batch is not bound to the one dispatch worker that serves it.
 class PkgService {
  public:
   /// Runs IBE Setup on construction: draws the master secret for `group`.
@@ -82,6 +84,9 @@ class PkgService {
 
   /// Batched extraction: one round trip for many (AID, Nonce) pairs;
   /// per-item success so one revoked AID doesn't fail the batch.
+  /// Authorization and sealing run serially in request order, so for a
+  /// seeded RandomSource the payloads are byte-identical to one
+  /// ExtractKey call per item; BfIbe::ExtractBatch runs in between.
   util::Result<wire::KeyBatchResponse> ExtractKeyBatch(
       const wire::KeyBatchRequest& request);
 

@@ -2,7 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <iterator>
+#include <unordered_map>
 
 #include "src/util/hex.h"
 #include "src/util/serde.h"
@@ -120,41 +120,64 @@ util::Result<std::vector<MessageDb::AppendOutcome>> MessageDb::Append(
     std::string dedup_key;  // empty: not deduplicated
   };
   std::vector<Pending> to_write;
-  std::map<std::string, size_t> first_occurrence;
+  std::unordered_map<std::string, size_t> first_occurrence;
   std::vector<std::pair<size_t, size_t>> repeats;  // (message, first)
   std::vector<std::string> stale_records;  // torn appends' abandoned ids
   size_t dedup_count = 0;
   uint64_t fresh = 0;
 
+  // Claim every dedup key of the call before reading any marker, so no
+  // two appends of one message read its marker at once: both could miss
+  // it, or both could abandon a torn append's id, and store it twice.
+  // The append that wrote a marker held its claim until it returned, so
+  // the marker's id is out of flight and the reads below are stable.
+  std::vector<std::string> dedup_keys(messages.size());
+  std::vector<bool> repeat(messages.size());
   for (size_t i = 0; i < messages.size(); ++i) {
+    if (messages[i].device_id.empty() || messages[i].nonce.empty()) continue;
+    dedup_keys[i] = DedupKey(messages[i].device_id, messages[i].nonce);
+    auto [first, inserted] = first_occurrence.emplace(dedup_keys[i], i);
+    if (!inserted) {
+      repeats.emplace_back(i, first->second);
+      repeat[i] = true;
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(id_mutex_);
+    for (const auto& [key, source] : first_occurrence) {
+      if (appending_.count(key) > 0) {
+        return util::Status::Unavailable(
+            "an append of this message is still in progress");
+      }
+    }
+    for (const auto& [key, source] : first_occurrence) appending_.insert(key);
+  }
+  // Releases the claims, and the block of fresh ids once one is taken,
+  // when this call returns on any path; first_occurrence, which owns the
+  // claimed keys, outlives it.
+  struct InFlight {
+    MessageDb* db;
+    const std::unordered_map<std::string, size_t>& claimed;
+    uint64_t first = 0, count = 0;
+    ~InFlight() {
+      std::lock_guard<std::mutex> lock(db->id_mutex_);
+      for (const auto& [key, source] : claimed) db->appending_.erase(key);
+      if (count > 0) db->in_flight_.erase(first);
+    }
+  } guard{this, first_occurrence};
+
+  for (size_t i = 0; i < messages.size(); ++i) {
+    if (repeat[i]) continue;
     StoredMessage stored = messages[i];
     stored.id = 0;
-    std::string dedup_key;
-    if (!stored.device_id.empty() && !stored.nonce.empty()) {
-      dedup_key = DedupKey(stored.device_id, stored.nonce);
-      auto [first, inserted] = first_occurrence.emplace(dedup_key, i);
-      if (!inserted) {
-        repeats.emplace_back(i, first->second);
-        continue;
-      }
+    std::string dedup_key = std::move(dedup_keys[i]);
+    if (!dedup_key.empty()) {
       uint64_t reserved = 0;
       if (auto marker = table_->Get(dedup_key); marker.ok()) {
         util::Reader r(marker.value());
         if (!r.GetU64(&reserved) || !r.Done()) reserved = 0;
       }
       if (reserved != 0) {
-        // Not while the append that reserved the id runs on: its keys
-        // would land after anything read here. Once it has returned, the
-        // reads below are stable.
-        {
-          std::lock_guard<std::mutex> lock(id_mutex_);
-          auto block = in_flight_.upper_bound(reserved);
-          if (block != in_flight_.begin() &&
-              reserved < std::prev(block)->second) {
-            return util::Status::Unavailable(
-                "an append of this message is still in progress");
-          }
-        }
         // The earlier attempt's record is authoritative: a retransmit is
         // stamped afresh and may name another attribute, so only the
         // record names the index keys. Records land before attribute-index
@@ -193,16 +216,9 @@ util::Result<std::vector<MessageDb::AppendOutcome>> MessageDb::Append(
     next = next_id_;
     next_id_ += fresh;
     if (fresh > 0) in_flight_.emplace(next, next_id_);
+    guard.first = next;
+    guard.count = fresh;
   }
-  struct InFlight {
-    MessageDb* db;
-    uint64_t first, count;
-    ~InFlight() {
-      if (count == 0) return;
-      std::lock_guard<std::mutex> lock(db->id_mutex_);
-      db->in_flight_.erase(first);
-    }
-  } block{this, next, fresh};
 
   std::vector<std::pair<std::string, util::Bytes>> markers;
   std::vector<std::pair<std::string, util::Bytes>> records;

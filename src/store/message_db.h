@@ -6,6 +6,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -62,16 +64,18 @@ class MessageDb {
   /// a lost ack cannot double-store, and a repeat within one call
   /// resolves to its first occurrence. A dedup marker
   /// "n/<ID_SD>/<nonce>" -> id is written before the message records.
-  /// While the append that reserved the marker's id is still running, a
-  /// retransmit fails with kUnavailable (retryable). Otherwise the record
-  /// that earlier append stored is authoritative, whatever the
-  /// retransmit's own timestamp (a device stamps each send afresh) or
-  /// other fields: with every key of that record present it is a dedup
-  /// hit. One that finds the marker but not every key finishes a torn
-  /// append: it keeps the reserved id and the earlier record once the
-  /// attribute-index key landed (a cursor may already have delivered that
-  /// id); otherwise it deletes the record if it landed and takes a fresh
-  /// id, so no cursor can have passed the id it ends up under.
+  /// Each call claims its dedup keys until it returns: while another
+  /// append of one of its messages is still running, the whole call
+  /// fails with kUnavailable (retryable) before reading any marker.
+  /// Otherwise the record an earlier append stored is authoritative,
+  /// whatever the retransmit's own timestamp (a device stamps each send
+  /// afresh) or other fields: with every key of that record present it
+  /// is a dedup hit. One that finds the marker but not every key
+  /// finishes a torn append: it keeps the reserved id and the earlier
+  /// record once the attribute-index key landed (a cursor may already
+  /// have delivered that id); otherwise it deletes the record if it
+  /// landed and takes a fresh id, so no cursor can have passed the id it
+  /// ends up under.
   ///
   /// Writes the id counter, the dedup markers, the message records, the
   /// attribute-index keys and the time-index keys, in that order, one
@@ -140,12 +144,16 @@ class MessageDb {
   util::Status PersistCounter(uint64_t next);
 
   Table* table_;
-  /// Guards next_id_ and in_flight_.
+  /// Guards next_id_, in_flight_ and appending_.
   mutable std::mutex id_mutex_;
   /// Next id to hand out.
   uint64_t next_id_ = 1;
   /// Every block whose Append has not finished: first id -> end id.
   std::map<uint64_t, uint64_t> in_flight_;
+  /// The dedup keys of every Append that has not finished. Each view
+  /// points into that Append's own key set, and is erased before the
+  /// Append returns.
+  std::unordered_set<std::string_view> appending_;
   /// Guards persisted_next_ so the on-disk counter only moves forward
   /// even when concurrent appends persist out of block order.
   std::mutex counter_mutex_;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "src/crypto/hmac.h"
 #include "src/sim/scenario.h"
 
@@ -16,6 +19,13 @@ using util::BytesFromString;
 
 class ClientTest : public ::testing::Test {
  protected:
+  /// An AID the MWS never issues.
+  static constexpr uint64_t kUnissuedAid = 9999;
+
+  static size_t HardwareThreads() {
+    return std::max(1u, std::thread::hardware_concurrency());
+  }
+
   void SetUp() override {
     auto scenario = UtilityScenario::Create({});
     ASSERT_TRUE(scenario.ok());
@@ -143,49 +153,97 @@ TEST_F(ClientTest, DecryptMessageRejectsCorruptPoint) {
 }
 
 TEST_F(ClientTest, BatchKeyExtractionMatchesSingle) {
-  s_->DepositReadings(2).value();
+  // More keys than hardware threads, so both fan-outs (the PKG's
+  // extraction, the RC's key opening) share the batch among every thread,
+  // with AIDs the ticket does not cover mixed in.
+  const size_t per_device = HardwareThreads() + 1;
+  s_->DepositReadings(per_device).value();
   ReceivingClient& rc = s_->company(UtilityScenario::kCServices);
   ASSERT_TRUE(rc.Authenticate().ok());
   auto retrieved = rc.Retrieve().value();
-  ASSERT_EQ(retrieved.messages.size(), 6u);
+  ASSERT_EQ(retrieved.messages.size(), 3 * per_device);
   ASSERT_TRUE(rc.AuthenticateWithPkg(retrieved.token).ok());
 
   std::vector<std::pair<uint64_t, Bytes>> items;
-  for (const auto& m : retrieved.messages) items.emplace_back(m.aid, m.nonce);
+  std::vector<const wire::RetrievedMessage*> message_at;  // null: refused
+  for (const auto& m : retrieved.messages) {
+    items.emplace_back(m.aid, m.nonce);
+    message_at.push_back(&m);
+    if (items.size() % 3 == 1) {
+      items.emplace_back(kUnissuedAid, m.nonce);
+      message_at.push_back(nullptr);
+    }
+  }
   auto batch = rc.RequestKeysBatch(items);
   ASSERT_TRUE(batch.ok()) << batch.status();
-  ASSERT_EQ(batch->size(), 6u);
+  ASSERT_EQ(batch->size(), items.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    ASSERT_TRUE(batch->at(i).ok());
+    auto single = rc.RequestKey(items[i].first, items[i].second);
+    if (message_at[i] == nullptr) {
+      EXPECT_EQ(batch->at(i).status().code(),
+                util::StatusCode::kPermissionDenied);
+      EXPECT_EQ(single.status().code(), util::StatusCode::kPermissionDenied);
+      continue;
+    }
     // Batch keys equal singly-requested keys and decrypt the messages.
-    auto single = rc.RequestKey(items[i].first, items[i].second).value();
-    EXPECT_EQ(batch->at(i).value().d, single.d);
-    EXPECT_TRUE(rc.DecryptMessage(retrieved.messages[i],
-                                  batch->at(i).value())
-                    .ok());
+    ASSERT_TRUE(batch->at(i).ok()) << i << ": " << batch->at(i).status();
+    ASSERT_TRUE(single.ok()) << single.status();
+    EXPECT_EQ(batch->at(i).value().d, single.value().d);
+    EXPECT_TRUE(rc.DecryptMessage(*message_at[i], batch->at(i).value()).ok());
   }
 }
 
 TEST_F(ClientTest, BatchExtractionPartialDenialIsPerItem) {
-  s_->DepositReadings(1).value();
+  // Water & Resources may read water only. Its batch mixes its own AID
+  // with an AID never issued and with C-Services' three AIDs, which
+  // exist (one names water too) but are grants of another RC, so they
+  // are not in this ticket: each refusal fails only its own item, in
+  // request order.
+  const size_t per_device = HardwareThreads() + 1;
+  s_->DepositReadings(per_device).value();
+  ReceivingClient& cservices = s_->company(UtilityScenario::kCServices);
+  ASSERT_TRUE(cservices.Authenticate().ok());
+  auto cservices_view = cservices.Retrieve().value();
+  std::vector<uint64_t> refused = {kUnissuedAid};
+  for (const auto& m : cservices_view.messages) {
+    if (std::find(refused.begin(), refused.end(), m.aid) == refused.end()) {
+      refused.push_back(m.aid);
+    }
+  }
+
   ReceivingClient& rc = s_->company(UtilityScenario::kWaterResources);
   ASSERT_TRUE(rc.Authenticate().ok());
   auto retrieved = rc.Retrieve().value();
-  ASSERT_EQ(retrieved.messages.size(), 1u);
+  ASSERT_EQ(retrieved.messages.size(), per_device);
   ASSERT_TRUE(rc.AuthenticateWithPkg(retrieved.token).ok());
+  ASSERT_EQ(refused.size(), 4u);
 
-  // Mix the legitimate item with an AID the ticket does not cover.
-  std::vector<std::pair<uint64_t, Bytes>> items = {
-      {retrieved.messages[0].aid, retrieved.messages[0].nonce},
-      {9999, retrieved.messages[0].nonce},
-  };
+  std::vector<std::pair<uint64_t, Bytes>> items;
+  std::vector<bool> granted;
+  for (size_t i = 0; i < retrieved.messages.size(); ++i) {
+    const auto& m = retrieved.messages[i];
+    items.emplace_back(m.aid, m.nonce);
+    granted.push_back(true);
+    items.emplace_back(refused[i % refused.size()], m.nonce);
+    granted.push_back(false);
+  }
   auto batch = rc.RequestKeysBatch(items);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), 2u);
-  EXPECT_TRUE(batch->at(0).ok());
-  EXPECT_FALSE(batch->at(1).ok());
-  EXPECT_EQ(batch->at(1).status().code(),
-            util::StatusCode::kPermissionDenied);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_EQ(batch->size(), items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (granted[i]) {
+      ASSERT_TRUE(batch->at(i).ok()) << i << ": " << batch->at(i).status();
+      EXPECT_EQ(batch->at(i).value().d,
+                rc.RequestKey(items[i].first, items[i].second).value().d);
+      EXPECT_TRUE(rc.DecryptMessage(retrieved.messages[i / 2],
+                                    batch->at(i).value())
+                      .ok());
+    } else {
+      EXPECT_EQ(batch->at(i).status().code(),
+                util::StatusCode::kPermissionDenied)
+          << i;
+    }
+  }
 }
 
 TEST_F(ClientTest, BatchExtractionRequiresPkgSession) {

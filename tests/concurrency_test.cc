@@ -382,6 +382,37 @@ TEST(RetrievalWatermarkTest, RetransmitWaitsForTheReservedIdsRecordWrite) {
   RetransmitWhileItsIdIsInFlight("m/", /*stale_index_read=*/false);
 }
 
+// Two overlapping first sends of one message. The first parks at its
+// dedup-marker write, before any marker exists, so a second send that
+// read the marker now would miss it and store the message under a
+// second id. Its claim on the dedup key refuses it, retryably, and its
+// retry once the first has returned is a dedup hit on the first id.
+TEST(DedupClaimTest, OverlappingFirstSendsStoreOneCopy) {
+  auto base = store::KvStore::Open({.path = ""}).value();
+  ParkingTable table(base.get(), "n/");
+  store::MessageDb messages(&table);
+
+  std::thread first([&] {
+    auto outcome = messages.Append({WatermarkMessage(1)});
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    EXPECT_EQ(outcome->front().id, 1u);
+  });
+  table.AwaitParked();
+  auto overlapping = messages.Append({WatermarkMessage(1)});
+  EXPECT_TRUE(overlapping.status().IsUnavailable())
+      << (overlapping.ok() ? "stored under id " +
+                                 std::to_string(overlapping->front().id)
+                           : overlapping.status().ToString());
+  table.Release();
+  first.join();
+
+  auto retried = messages.Append({WatermarkMessage(1)});
+  ASSERT_TRUE(retried.ok()) << retried.status();
+  EXPECT_EQ(retried->front().id, 1u);
+  EXPECT_TRUE(retried->front().deduplicated);
+  EXPECT_EQ(messages.Count(), 1u);
+}
+
 // --- Full protocol stress over TCP ---
 
 /// Routes mws.* / pkg.* to the two servers, as deployed.

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <thread>
 
 #include "src/crypto/hmac.h"
 #include "src/crypto/modes.h"
@@ -56,6 +58,33 @@ class MwsServiceTest : public ::testing::Test {
     request.rsa_public_key = crypto::SerializeRsaPublicKey(keys.public_key);
     request.auth_ciphertext =
         crypto::CbcEncrypt(crypto::CipherKind::kDes, key, plain.Encode(),
+                           rng_)
+            .value();
+    return request;
+  }
+
+  /// What an RC sends the PKG once the MWS has issued it a token: the
+  /// token's ticket and a fresh authenticator under its session key.
+  wire::PkgAuthRequest MakePkgAuthRequest(const std::string& identity,
+                                          const crypto::RsaKeyPair& keys) {
+    auto grants = service_.mms().GrantsFor(identity).value();
+    auto token = service_.token_generator()
+                     .IssueToken(identity,
+                                 crypto::SerializeRsaPublicKey(keys.public_key),
+                                 grants)
+                     .value();
+    auto token_bytes = crypto::OpenSealedBox(
+        keys.private_key, crypto::CipherKind::kDes, token);
+    auto token_plain = wire::TokenPlain::Decode(token_bytes.value()).value();
+    wire::AuthenticatorPlain auth{identity, clock_.NowMicros()};
+    Bytes auth_key = wire::DeriveChannelKey(token_plain.session_key,
+                                            crypto::CipherKind::kDes,
+                                            "rc-pkg-authenticator");
+    wire::PkgAuthRequest request;
+    request.rc_identity = identity;
+    request.ticket = token_plain.ticket;
+    request.authenticator =
+        crypto::CbcEncrypt(crypto::CipherKind::kDes, auth_key, auth.Encode(),
                            rng_)
             .value();
     return request;
@@ -150,29 +179,8 @@ TEST_F(MwsServiceTest, PkgGarbageCollectsExpiredSessions) {
   service_.GrantAttribute("RC1", "A1").value();
   pkg::PkgService pkg(math::GetParams(math::ParamPreset::kSmall),
                       mws_pkg_key_, &clock_, &rng_);
-  auto grants = service_.mms().GrantsFor("RC1").value();
   auto authenticate = [&] {
-    auto token = service_.token_generator()
-                     .IssueToken("RC1",
-                                 crypto::SerializeRsaPublicKey(keys.public_key),
-                                 grants)
-                     .value();
-    auto token_bytes = crypto::OpenSealedBox(
-        keys.private_key, crypto::CipherKind::kDes, token);
-    auto token_plain = wire::TokenPlain::Decode(token_bytes.value()).value();
-    wire::AuthenticatorPlain auth{"RC1", clock_.NowMicros()};
-    Bytes auth_key =
-        wire::DeriveChannelKey(token_plain.session_key,
-                               crypto::CipherKind::kDes,
-                               "rc-pkg-authenticator");
-    wire::PkgAuthRequest request;
-    request.rc_identity = "RC1";
-    request.ticket = token_plain.ticket;
-    request.authenticator =
-        crypto::CbcEncrypt(crypto::CipherKind::kDes, auth_key, auth.Encode(),
-                           rng_)
-            .value();
-    ASSERT_TRUE(pkg.Authenticate(request).ok());
+    ASSERT_TRUE(pkg.Authenticate(MakePkgAuthRequest("RC1", keys)).ok());
   };
   for (int i = 0; i < 3; ++i) {
     authenticate();
@@ -254,28 +262,63 @@ TEST_F(MwsServiceTest, PkgRejectsReplayedAuthenticator) {
   service_.GrantAttribute("RC1", "A1").value();
   pkg::PkgService pkg(math::GetParams(math::ParamPreset::kSmall),
                       mws_pkg_key_, &clock_, &rng_);
-  auto grants = service_.mms().GrantsFor("RC1").value();
-  auto token = service_.token_generator().IssueToken(
-      "RC1", crypto::SerializeRsaPublicKey(keys.public_key), grants);
-  auto token_bytes = crypto::OpenSealedBox(
-      keys.private_key, crypto::CipherKind::kDes, token.value());
-  auto token_plain = wire::TokenPlain::Decode(token_bytes.value()).value();
-
-  wire::AuthenticatorPlain auth{"RC1", clock_.NowMicros()};
-  Bytes auth_key = wire::DeriveChannelKey(
-      token_plain.session_key, crypto::CipherKind::kDes,
-      "rc-pkg-authenticator");
-  wire::PkgAuthRequest request;
-  request.rc_identity = "RC1";
-  request.ticket = token_plain.ticket;
-  request.authenticator =
-      crypto::CbcEncrypt(crypto::CipherKind::kDes, auth_key, auth.Encode(),
-                         rng_)
-          .value();
+  wire::PkgAuthRequest request = MakePkgAuthRequest("RC1", keys);
   EXPECT_TRUE(pkg.Authenticate(request).ok());
   auto replay = pkg.Authenticate(request);
   EXPECT_FALSE(replay.ok());
   EXPECT_TRUE(replay.status().IsUnauthenticated());
+}
+
+// A batch's sealed keys are byte-identical, in request order, to one
+// ExtractKey call per item at a PKG seeded alike. The extractions fan out
+// across threads, but authorization and sealing stay serial: each seal
+// draws its IV from the PKG's generator, so sealing in parallel would
+// interleave the draws and fail this test.
+TEST_F(MwsServiceTest, PkgBatchSealsExactlyLikeSingleExtractions) {
+  auto keys = RegisterRc("RC1");
+  service_.GrantAttribute("RC1", "A1").value();
+  service_.GrantAttribute("RC1", "A2").value();
+  auto grants = service_.mms().GrantsFor("RC1").value();
+  ASSERT_EQ(grants.size(), 2u);
+
+  util::DeterministicRandom batch_rng(99);
+  util::DeterministicRandom single_rng(99);
+  pkg::PkgService batch_pkg(math::GetParams(math::ParamPreset::kSmall),
+                            mws_pkg_key_, &clock_, &batch_rng);
+  pkg::PkgService single_pkg(math::GetParams(math::ParamPreset::kSmall),
+                             mws_pkg_key_, &clock_, &single_rng);
+  wire::PkgAuthRequest auth = MakePkgAuthRequest("RC1", keys);
+  auto batch_session = batch_pkg.Authenticate(auth);
+  auto single_session = single_pkg.Authenticate(auth);
+  ASSERT_TRUE(batch_session.ok() && single_session.ok());
+
+  // Many items per hardware thread, with refused AIDs mixed in.
+  const size_t n =
+      16 * std::max(1u, std::thread::hardware_concurrency()) + 2;
+  wire::KeyBatchRequest request;
+  request.session_id = batch_session->session_id;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t aid = i % 5 == 3 ? 9999 : grants[i % 2].aid;
+    request.items.emplace_back(aid, rng_.Generate(16));
+  }
+  auto batch = batch_pkg.ExtractKeyBatch(request);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_EQ(batch->items.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    const auto& [aid, nonce] = request.items[i];
+    auto single =
+        single_pkg.ExtractKey({single_session->session_id, aid, nonce});
+    if (aid == 9999) {
+      ASSERT_TRUE(single.status().IsPermissionDenied()) << single.status();
+      EXPECT_FALSE(batch->items[i].ok) << i;
+      EXPECT_EQ(util::StringFromBytes(batch->items[i].payload),
+                single.status().ToString());
+      continue;
+    }
+    ASSERT_TRUE(single.ok()) << single.status();
+    EXPECT_TRUE(batch->items[i].ok) << i;
+    EXPECT_EQ(batch->items[i].payload, single->encrypted_private_key) << i;
+  }
 }
 
 TEST_F(MwsServiceTest, MmsResolvesGrantsPerFetch) {

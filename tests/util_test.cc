@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
 #include "src/util/base64.h"
 #include "src/util/bytes.h"
 #include "src/util/clock.h"
 #include "src/util/hex.h"
+#include "src/util/parallel.h"
 #include "src/util/random.h"
 #include "src/util/result.h"
 #include "src/util/status.h"
@@ -216,6 +226,53 @@ TEST(RandomTest, OsRandomNotConstant) {
   Bytes a = OsRandom::Instance().Generate(16);
   Bytes b = OsRandom::Instance().Generate(16);
   EXPECT_NE(a, b);  // Probability 2^-128 of flake.
+}
+
+size_t HardwareThreads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
+  const size_t hw = HardwareThreads();
+  for (size_t n : {size_t{0}, size_t{1}, 3 * hw, 7 * hw + 3}) {
+    std::vector<std::atomic<int>> calls(n);
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    ParallelFor(n, [&](size_t i) {
+      calls[i].fetch_add(1);
+      std::lock_guard<std::mutex> lock(mutex);
+      threads.insert(std::this_thread::get_id());
+    });
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(calls[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+    EXPECT_LE(threads.size(), std::min(n, hw)) << "n=" << n;
+  }
+}
+
+TEST(ParallelForTest, OneItemRunsOnTheCallingThread) {
+  std::thread::id ran_on;
+  ParallelFor(1, [&](size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ParallelForTest, RethrowsAfterEveryThreadHasFinished) {
+  const size_t n = 4 * HardwareThreads() + 1;
+  std::atomic<int> running{0};
+  std::atomic<size_t> calls{0};
+  auto fn = [&](size_t i) {
+    ++running;
+    ++calls;
+    if (i == n / 2) {
+      --running;
+      throw std::runtime_error("item failed");
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    --running;
+  };
+  EXPECT_THROW(ParallelFor(n, fn), std::runtime_error);
+  EXPECT_EQ(running.load(), 0);
+  EXPECT_LE(calls.load(), n);
 }
 
 TEST(StringUtilTest, Split) {
