@@ -34,6 +34,7 @@ using mws::ibe::BasicCiphertext;
 using mws::ibe::BfIbe;
 using mws::math::BigInt;
 using mws::math::EcPoint;
+using mws::math::Fp;
 using mws::math::Fp2;
 using mws::math::GetParams;
 using mws::math::PairingPrecomp;
@@ -239,6 +240,17 @@ struct Row {
   double reference_ns = 0;
 };
 
+/// Fp::Sqrt before its Jacobi pre-check: the (p+1)/4 exponentiation
+/// decides residuosity, so a non-residue costs a full power. The
+/// fp_sqrt row's reference.
+mws::util::Result<Fp> SqrtByExponent(const Fp& a) {
+  if (a.IsZero()) return a;
+  const BigInt& p = a.ctx()->modulus();
+  Fp root = a.Pow((p + BigInt(1)) >> 2);
+  if (root.Sqr() == a) return root;
+  return mws::util::Status::InvalidArgument("not a quadratic residue");
+}
+
 /// ns/op via steady_clock: one warmup call, then the best (minimum)
 /// mean over three independent measurement windows, each of at least
 /// `min_iters` iterations and `min_ms` of wall time. The minimum is
@@ -288,6 +300,16 @@ std::vector<Row> MeasureFastPaths(const TypeAParams& group, bool smoke) {
     points.push_back(group.RandomPoint(rng));
   }
   Fp2 unit = group.Pairing(points[0], points[1]);
+  // Identities as the device derives them (20-byte SHA-1 digests), and
+  // square-root inputs alternating residue a^2 and non-residue -a^2
+  // (-1 is a non-residue for p == 3 mod 4), as H1 meets them.
+  std::vector<Bytes> identities;
+  std::vector<Fp> radicands;
+  for (size_t i = 0; i < kInputs; ++i) {
+    identities.push_back(rng.Generate(20));
+    Fp a = Fp::FromBigInt(group.ctx(), group.RandomScalar(rng));
+    radicands.push_back(i % 2 == 0 ? a.Sqr() : a.Sqr().Neg());
+  }
 
   std::vector<Row> rows;
   size_t n = 0;
@@ -401,6 +423,36 @@ std::vector<Row> MeasureFastPaths(const TypeAParams& group, bool smoke) {
              benchmark::DoNotOptimize(out);
            },
            min_iters, min_ms)});
+
+  // The device's seal pairing: H1's uncleared candidate paired and
+  // raised to h*r mod q, against H1 (cofactor multiplication included),
+  // the pairing and Pow(r) composed as the encryptors did before.
+  rows.push_back(
+      {"kem_encapsulate",
+       MeasureNs(
+           [&] {
+             const size_t k = n++ % kInputs;
+             benchmark::DoNotOptimize(
+                 ibe.PairPpubHashedPow(params, identities[k], scalars[k]));
+           },
+           min_iters, min_ms),
+       MeasureNs(
+           [&] {
+             const size_t k = n++ % kInputs;
+             benchmark::DoNotOptimize(
+                 ibe.PairPpub(params, ibe.HashToPoint(identities[k]))
+                     .Pow(scalars[k]));
+           },
+           min_iters, min_ms)});
+
+  rows.push_back(
+      {"fp_sqrt",
+       MeasureNs([&] { benchmark::DoNotOptimize(
+                           radicands[n++ % kInputs].Sqrt()); },
+                 min_iters, min_ms),
+       MeasureNs([&] { benchmark::DoNotOptimize(
+                           SqrtByExponent(radicands[n++ % kInputs])); },
+                 min_iters, min_ms)});
 
   rows.push_back(
       {"fp2_pow_window",

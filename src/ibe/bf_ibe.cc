@@ -48,21 +48,28 @@ util::Bytes KemKey(const Fp2& g, size_t key_len) {
                       util::BytesFromString("mwsibe-kem"), key_len);
 }
 
+/// The try-and-increment candidate number `counter`: the x-coordinate
+/// H(tag || input || counter) read in F_p. HashToGroup and
+/// BfIbe::PairPpubHashedPow both walk these candidates, so the point the
+/// device seals to is the one the PKG extracts for.
+Fp HashCandidate(const math::TypeAParams& group, uint8_t tag,
+                 const util::Bytes& input, uint32_t counter) {
+  util::Bytes tagged = Tagged(tag, input);
+  tagged.push_back(static_cast<uint8_t>(counter >> 24));
+  tagged.push_back(static_cast<uint8_t>(counter >> 16));
+  tagged.push_back(static_cast<uint8_t>(counter >> 8));
+  tagged.push_back(static_cast<uint8_t>(counter));
+  return Fp::FromBytes(group.ctx(),
+                       crypto::HashExpand(crypto::HashKind::kSha256, tagged,
+                                          group.FieldBytes()));
+}
+
 }  // namespace
 
 EcPoint HashToGroup(const math::TypeAParams& group, uint8_t tag,
                     const util::Bytes& input) {
-  const size_t flen = group.FieldBytes();
   for (uint32_t counter = 0;; ++counter) {
-    util::Bytes tagged = Tagged(tag, input);
-    tagged.push_back(static_cast<uint8_t>(counter >> 24));
-    tagged.push_back(static_cast<uint8_t>(counter >> 16));
-    tagged.push_back(static_cast<uint8_t>(counter >> 8));
-    tagged.push_back(static_cast<uint8_t>(counter));
-    Fp x = Fp::FromBytes(
-        group.ctx(),
-        crypto::HashExpand(crypto::HashKind::kSha256, tagged, flen));
-    auto point = group.LiftX(x);
+    auto point = group.LiftX(HashCandidate(group, tag, input, counter));
     if (point.ok()) return point.value();
   }
 }
@@ -128,15 +135,36 @@ Fp2 BfIbe::PairPpub(const SystemParams& params, const EcPoint& q_id) const {
   return group_.Pairing(params.p_pub, q_id);
 }
 
+util::Result<Fp2> BfIbe::PairPpubUncleared(const SystemParams& params,
+                                           const Fp& x) const {
+  MWS_ASSIGN_OR_RETURN(EcPoint q_uncleared, group_.LiftXUncleared(x));
+  Fp2 g = PairPpub(params, q_uncleared);
+  if (g.IsOne()) {
+    return util::Status::InvalidArgument("cofactor multiple is identity");
+  }
+  return g;
+}
+
+Fp2 BfIbe::PairPpubHashedPow(const SystemParams& params,
+                             const util::Bytes& identity,
+                             const BigInt& r) const {
+  for (uint32_t counter = 0;; ++counter) {
+    auto g = PairPpubUncleared(
+        params, HashCandidate(group_, kTagH1, identity, counter));
+    if (g.ok()) {
+      return g.value().Pow(BigInt::Mod(group_.cofactor() * r, group_.q()));
+    }
+  }
+}
+
 BasicCiphertext BfIbe::Encrypt(const SystemParams& params,
                                const util::Bytes& identity,
                                const util::Bytes& message,
                                util::RandomSource& rng) const {
-  EcPoint q_id = HashToPoint(identity);
   BigInt r = group_.RandomScalar(rng);
   BasicCiphertext ct;
   ct.u = group_.MulGenerator(r);
-  Fp2 g = PairPpub(params, q_id).Pow(r);
+  Fp2 g = PairPpubHashedPow(params, identity, r);
   ct.v = util::Xor(message, PairingMask(g, message.size()));
   return ct;
 }
@@ -152,12 +180,11 @@ FullCiphertext BfIbe::EncryptFull(const SystemParams& params,
                                   const util::Bytes& identity,
                                   const util::Bytes& message,
                                   util::RandomSource& rng) const {
-  EcPoint q_id = HashToPoint(identity);
   util::Bytes sigma = rng.Generate(32);
   BigInt r = HashToScalar(group_.q(), sigma, message);
   FullCiphertext ct;
   ct.u = group_.MulGenerator(r);
-  Fp2 g = PairPpub(params, q_id).Pow(r);
+  Fp2 g = PairPpubHashedPow(params, identity, r);
   ct.v = util::Xor(sigma, PairingMask(g, sigma.size()));
   ct.w = util::Xor(message,
                    crypto::HashExpand(crypto::HashKind::kSha256,
@@ -189,11 +216,10 @@ KemOutput IbeKem::Encapsulate(const SystemParams& params,
                               const util::Bytes& identity,
                               util::RandomSource& rng) const {
   const math::TypeAParams& group = ibe_.group();
-  EcPoint q_id = ibe_.HashToPoint(identity);
   BigInt r = group.RandomScalar(rng);
   KemOutput out;
   out.u = group.MulGenerator(r);
-  out.key = KemKey(ibe_.PairPpub(params, q_id).Pow(r), key_len_);
+  out.key = KemKey(ibe_.PairPpubHashedPow(params, identity, r), key_len_);
   return out;
 }
 

@@ -65,7 +65,10 @@ struct FullCiphertext {
 /// || counter) read in F_p, lifted through the cofactor, for counter =
 /// 0, 1, ... until a lift succeeds (~2 tries expected). BF's H1 uses tag
 /// 0x01 and PEKS's keyword hash 0x07. Stored ciphertexts and tags
-/// depend on this mapping, so it must never change.
+/// depend on this mapping, so it must never change. The encryptors walk
+/// the same candidates without the cofactor step
+/// (BfIbe::PairPpubHashedPow); extraction, IBS, the threshold PKG and
+/// PEKS need the order-q point itself.
 math::EcPoint HashToGroup(const math::TypeAParams& group, uint8_t tag,
                           const util::Bytes& input);
 
@@ -128,6 +131,25 @@ class BfIbe {
   /// back to the generic pairing otherwise.
   math::Fp2 PairPpub(const SystemParams& params,
                      const math::EcPoint& q_id) const;
+
+  /// e(P_pub, H1(identity))^r, the pairing value of every BF encryptor,
+  /// without H1's multiplication by the cofactor h. The reduced pairing
+  /// reads its second argument modulo qE, so for H1's accepted candidate
+  /// Q' (HashToPoint returns h*Q') e(P_pub, h*Q')^r = e(P_pub, Q')^(h*r
+  /// mod q): bit-identical to PairPpub(params, HashToPoint(identity))
+  /// .Pow(r) at the cost of one pairing and one power.
+  math::Fp2 PairPpubHashedPow(const SystemParams& params,
+                              const util::Bytes& identity,
+                              const math::BigInt& r) const;
+
+  /// e(P_pub, Q') for one H1 candidate x, where Q' = (x, sqrt(x^3 + x))
+  /// is group().LiftXUncleared(x). Fails exactly where group().LiftX(x)
+  /// fails: for a non-residue, and where e(P_pub, Q') = 1, which holds
+  /// exactly when h*Q' is the identity because gcd(h, q) = 1. That also
+  /// covers x = 0: Q' = (0, 0) has order 2, and its Miller value lies in
+  /// F_p*, which the final exponentiation sends to 1.
+  util::Result<math::Fp2> PairPpubUncleared(const SystemParams& params,
+                                            const math::Fp& x) const;
 
  private:
   /// g_ID^r -> mask of `len` bytes (the H2 pad).

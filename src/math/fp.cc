@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 namespace mws::math {
 
@@ -26,6 +27,17 @@ void Shr1N(uint64_t* a, size_t n, uint64_t top_bit) {
     a[i] = (a[i] >> 1) | (a[i + 1] << 63);
   }
   a[n - 1] = (a[n - 1] >> 1) | (top_bit << 63);
+}
+
+/// a >>= k for 0 < k < 64 * n.
+void ShrN(uint64_t* a, size_t n, size_t k) {
+  const size_t limbs = k / 64;
+  const size_t bits = k % 64;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t lo = i + limbs < n ? a[i + limbs] : 0;
+    const uint64_t hi = i + limbs + 1 < n ? a[i + limbs + 1] : 0;
+    a[i] = bits == 0 ? lo : (lo >> bits) | (hi << (64 - bits));
+  }
 }
 
 bool IsZeroN(const uint64_t* a, size_t n) {
@@ -211,21 +223,53 @@ Fp Fp::Inv() const {
 }
 
 int Fp::Legendre() const {
-  if (IsZero()) return 0;
-  Fp sym = Pow((ctx_->modulus() - BigInt(1)) >> 1);
-  return sym.IsOne() ? 1 : -1;
+  assert(valid());
+  // Binary Jacobi symbol (a/m), starting from m = p; no exponentiation.
+  // The limbs hold a*R with R = 2^(64n), a square, so (aR/p) = (a/p)
+  // and the Montgomery form is read as is. Each pass strips a's factors
+  // of two ((2/m) = -1 iff m == 3 or 5 mod 8), makes a >= m by swapping
+  // under quadratic reciprocity (a sign flip iff both are 3 mod 4), and
+  // replaces a by a - m, which keeps (a/m). Both shrink towards gcd = 1.
+  size_t n = ctx_->nlimbs();
+  uint64_t a_limbs[kMaxFpLimbs], m_limbs[kMaxFpLimbs];
+  std::memcpy(a_limbs, v_.data(), n * sizeof(uint64_t));
+  std::memcpy(m_limbs, ctx_->p_limbs(), n * sizeof(uint64_t));
+  uint64_t* a = a_limbs;
+  uint64_t* m = m_limbs;
+  int symbol = 1;
+  while (!IsZeroN(a, n)) {
+    size_t zeros = 0;
+    while (a[zeros / 64] == 0) zeros += 64;
+    zeros += static_cast<size_t>(__builtin_ctzll(a[zeros / 64]));
+    if (zeros > 0) {
+      ShrN(a, n, zeros);
+      const uint64_t m8 = m[0] & 7;
+      if ((zeros & 1) && (m8 == 3 || m8 == 5)) symbol = -symbol;
+    }
+    if (CmpN(a, m, n) < 0) {
+      std::swap(a, m);
+      if ((a[0] & 3) == 3 && (m[0] & 3) == 3) symbol = -symbol;
+    }
+    SubN(a, m, a, n);
+    while (n > 1 && a[n - 1] == 0 && m[n - 1] == 0) --n;
+  }
+  return IsOneN(m, n) ? symbol : 0;
 }
 
 util::Result<Fp> Fp::Sqrt() const {
   assert(valid());
   if (IsZero()) return *this;
   const BigInt& p = ctx_->modulus();
-  if ((p % BigInt(4)) == BigInt(3)) {
+  if ((p % BigInt(4)) != BigInt(3)) {
+    return util::Status::Unimplemented("sqrt requires p == 3 mod 4");
+  }
+  // The Jacobi symbol rejects a non-residue at a fraction of the
+  // exponentiation's cost; H1 meets one about every other candidate.
+  if (Legendre() == 1) {
     Fp root = Pow((p + BigInt(1)) >> 2);
     if (root.Sqr() == *this) return root;
-    return util::Status::InvalidArgument("not a quadratic residue");
   }
-  return util::Status::Unimplemented("sqrt requires p == 3 mod 4");
+  return util::Status::InvalidArgument("not a quadratic residue");
 }
 
 }  // namespace mws::math

@@ -195,7 +195,9 @@ class FpCtx {
   void Fp2MulLazy(const uint64_t* ar, const uint64_t* ai, const uint64_t* br,
                   const uint64_t* bi, uint64_t* or_, uint64_t* oi) const {
     const size_t n = nlimbs_;
-    uint64_t nbi[kMaxFpLimbs];
+    // nbi is zero-initialized only to satisfy -Wmaybe-uninitialized (GCC
+    // cannot see that SubN writes the nlimbs() limbs MontMulAcc2 reads).
+    uint64_t nbi[kMaxFpLimbs] = {0};
     uint64_t re[kMaxFpLimbs];
     fp_internal::SubN(p_limbs_.data(), bi, nbi, n);
     MontMulAcc2(ar, br, ai, nbi, re);
@@ -299,9 +301,11 @@ class Fp {
   Fp Pow(const BigInt& e) const;
   /// Multiplicative inverse. Pre: non-zero.
   Fp Inv() const;
-  /// +1 if QR, -1 if non-residue, 0 if zero.
+  /// +1 if QR, -1 if non-residue, 0 if zero. A binary Jacobi symbol,
+  /// several times cheaper than Euler's a^((p-1)/2).
   int Legendre() const;
-  /// Square root (p == 3 mod 4 fast path); fails for non-residues.
+  /// Square root (p == 3 mod 4 fast path); fails for non-residues, which
+  /// Legendre() rejects before the exponentiation.
   util::Result<Fp> Sqrt() const;
   /// Doubling without general multiplication.
   Fp Double() const { return *this + *this; }

@@ -49,6 +49,9 @@ util::Result<std::unique_ptr<const TypeAParams>> TypeAParams::Create(
       !BigInt::IsProbablePrime(q, rng, 16)) {
     return util::Status::InvalidArgument("p and q must be prime");
   }
+  if ((h % q).IsZero()) {
+    return util::Status::InvalidArgument("q must not divide the cofactor");
+  }
   auto params = std::unique_ptr<TypeAParams>(new TypeAParams());
   params->p_ = p;
   params->q_ = q;
@@ -84,7 +87,7 @@ util::Result<std::unique_ptr<const TypeAParams>> TypeAParams::Generate(
     BigInt h = BigInt::RandomBits(rng, hbits);
     // Force h to a multiple of 4 (clear the low two bits, keep top bit).
     h = (h >> 2) << 2;
-    if (h.IsZero()) continue;
+    if (h.IsZero() || (h % q).IsZero()) continue;
     p = h * q - BigInt(1);
     if (p.BitLength() != pbits) continue;
     if (BigInt::IsProbablePrime(p, rng, 32)) break;
@@ -117,11 +120,14 @@ void TypeAParams::BuildPrecomputation() {
   gen_pairing_ = std::make_unique<PairingPrecomp>(*this, generator_);
 }
 
-util::Result<EcPoint> TypeAParams::LiftX(const Fp& x) const {
+util::Result<EcPoint> TypeAParams::LiftXUncleared(const Fp& x) const {
   Fp rhs = x.Sqr() * x + x;  // x^3 + x (a=1, b=0)
-  auto y = rhs.Sqrt();
-  if (!y.ok()) return y.status();
-  EcPoint candidate(x, y.value());
+  MWS_ASSIGN_OR_RETURN(Fp y, rhs.Sqrt());
+  return EcPoint(x, y);
+}
+
+util::Result<EcPoint> TypeAParams::LiftX(const Fp& x) const {
+  MWS_ASSIGN_OR_RETURN(EcPoint candidate, LiftXUncleared(x));
   EcPoint point = curve_->ScalarMul(h_, candidate);
   if (point.is_infinity()) {
     return util::Status::InvalidArgument("cofactor multiple is identity");

@@ -44,14 +44,17 @@ struct PairingTerm {
 class TypeAParams {
  public:
   /// Validates and assembles parameters (p, q prime contracts are checked
-  /// probabilistically; generator must be an order-q curve point).
+  /// probabilistically; generator must be an order-q curve point). q must
+  /// not divide the cofactor h: with gcd(h, q) = 1, h*Q is the identity
+  /// exactly when e(P, Q) = 1, which the device's seal relies on
+  /// (ibe::BfIbe::PairPpubHashedPow).
   static util::Result<std::unique_ptr<const TypeAParams>> Create(
       const BigInt& p, const BigInt& q, const BigInt& gen_x,
       const BigInt& gen_y, util::RandomSource& rng);
 
   /// Generates a fresh parameter set: random q with `qbits` bits, then the
-  /// smallest-effort h with h*q - 1 prime of `pbits` bits and == 3 mod 4,
-  /// then a random order-q generator.
+  /// smallest-effort h, not a multiple of q, with h*q - 1 prime of `pbits`
+  /// bits and == 3 mod 4, then a random order-q generator.
   static util::Result<std::unique_ptr<const TypeAParams>> Generate(
       size_t qbits, size_t pbits, util::RandomSource& rng);
 
@@ -129,10 +132,15 @@ class TypeAParams {
   /// Reference final exponentiation (conj(z) * z^-1)^h, the pre-v2 code.
   Fp2 FinalExponentiationReference(const Fp2& z) const;
 
-  /// Lifts an x-coordinate to an order-q point: solves for y, multiplies
-  /// by the cofactor. Fails if x^3 + x is a non-residue or the cofactor
-  /// multiple is the identity.
+  /// Lifts an x-coordinate to an order-q point: LiftXUncleared, then a
+  /// multiplication by the cofactor. Fails if x^3 + x is a non-residue
+  /// or the cofactor multiple is the identity.
   util::Result<EcPoint> LiftX(const Fp& x) const;
+
+  /// The curve point (x, sqrt(x^3 + x)) before the cofactor
+  /// multiplication; fails if x^3 + x is a non-residue. The point lies
+  /// in E(F_p), not necessarily in the order-q subgroup.
+  util::Result<EcPoint> LiftXUncleared(const Fp& x) const;
 
   /// Uniform random point of order q (never infinity).
   EcPoint RandomPoint(util::RandomSource& rng) const;

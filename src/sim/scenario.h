@@ -69,7 +69,7 @@ class UtilityScenario {
       uint64_t fault_seed = 4242;
       wire::RetryOptions retry;
     };
-    Resilience resilience;
+    Resilience resilience{};
   };
 
   static constexpr char kCServices[] = "C-SERVICES";

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/math/fp.h"
 #include "src/math/fp2.h"
+#include "src/math/params.h"
 #include "src/util/random.h"
 
 namespace mws::math {
@@ -135,6 +137,38 @@ TEST_F(FpTest, LegendreMultiplicative) {
     EXPECT_EQ((a * b).Legendre(), a.Legendre() * b.Legendre());
   }
   EXPECT_EQ(Fp::Zero(ctx_.get()).Legendre(), 0);
+}
+
+// Legendre() is a binary Jacobi symbol; Euler's criterion a^((p-1)/2)
+// is the oracle, on this fixture's 4-limb field and the 8-limb field of
+// the test preset, over random, small and square values.
+void ExpectLegendreMatchesEuler(const FpCtx* ctx, uint64_t seed) {
+  const BigInt& p = ctx->modulus();
+  const BigInt half = (p - BigInt(1)) >> 1;
+  DeterministicRandom rng(seed);
+  std::vector<Fp> values = {Fp::Zero(ctx), Fp::One(ctx), Fp::One(ctx).Neg()};
+  for (uint64_t v = 2; v < 64; ++v) values.push_back(Fp::FromU64(ctx, v));
+  for (int i = 0; i < 128; ++i) {
+    Fp a = Fp::FromBigInt(ctx, BigInt::RandomBelow(rng, p));
+    values.push_back(a);
+    values.push_back(a.Sqr());
+  }
+  int residues = 0;
+  int non_residues = 0;
+  for (const Fp& a : values) {
+    Fp euler = a.Pow(half);
+    int expected = a.IsZero() ? 0 : euler.IsOne() ? 1 : -1;
+    ASSERT_EQ(a.Legendre(), expected) << a.ToBigInt().ToDecimal();
+    residues += expected == 1;
+    non_residues += expected == -1;
+  }
+  EXPECT_GT(residues, 64);
+  EXPECT_GT(non_residues, 32);
+}
+
+TEST_F(FpTest, LegendreMatchesEulersCriterion) {
+  ExpectLegendreMatchesEuler(ctx_.get(), 8);
+  ExpectLegendreMatchesEuler(GetParams(ParamPreset::kTest).ctx(), 9);
 }
 
 TEST_F(FpTest, BytesRoundTrip) {

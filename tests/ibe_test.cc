@@ -79,6 +79,124 @@ TEST(HashToPointKnownAnswerTest, TestPreset) {
             "90a4b4");
 }
 
+// Seal known answer. What a smart device deposits is U = rP plus the
+// DEM ciphertext; both must stay byte-for-byte the same whenever the
+// seal's arithmetic changes. Seeded Setup and seal generators, with a
+// fixed attribute, nonce and payload, at the test preset.
+TEST(SealKnownAnswerTest, TestPresetDes) {
+  const math::TypeAParams& group = GetParams(ParamPreset::kTest);
+  BfIbe ibe(group);
+  DeterministicRandom setup_rng(2010);
+  auto [params, master] = ibe.Setup(setup_rng);
+  HybridSealer sealer(group, crypto::CipherKind::kDes);
+  const Attribute attribute = "ELECTRIC-BAYTOWER-SV-CA";
+  MessageNonce nonce{util::HexDecode("000102030405060708090a0b0c0d0e0f")
+                         .value()};
+  const Bytes payload =
+      BytesFromString("meter=E-100 kWh=42.7 ts=2010-03-01T00:00Z");
+  DeterministicRandom seal_rng(7);
+  auto ct = sealer.Seal(params, attribute, nonce, payload, seal_rng);
+  ASSERT_TRUE(ct.ok()) << ct.status();
+  EXPECT_EQ(HexEncode(group.curve().Serialize(ct.value().u)),
+            "0479adec4ea8afc85377a532676b80178dbb5d0f7c6930c1e6d007c5738d98"
+            "f2e736d7b056b9850042785ee4b27513b548134227d04de4eaefec0fcee628"
+            "c71d607198cd87172070a9ce498056b886b70ce9f998c626522c31085926a7"
+            "f123692caf12bd61e6f8b8226caceec8f8e7bfca16dbd5ccf85bab253bdc12"
+            "c1514135cd");
+  EXPECT_EQ(HexEncode(ct.value().dem_ciphertext),
+            "4072801e733829fbd3bbcc73438a7ca75e2cf9c0195f892c74f9a90d8ba89b"
+            "b025ac16bc9d8a2f50a835111283242624ecfd79901c4fd53e");
+  IbePrivateKey key =
+      ibe.Extract(master, DeriveIdentity(attribute, nonce));
+  auto opened = sealer.Open(key, ct.value());
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  EXPECT_EQ(opened.value(), payload);
+}
+
+// The same pin for the two BF encryptors, BasicIdent and FullIdent.
+TEST(SealKnownAnswerTest, SmallPresetBfEncryptors) {
+  BfIbe ibe(GetParams(ParamPreset::kSmall));
+  DeterministicRandom setup_rng(2010);
+  SystemParams params = ibe.Setup(setup_rng).first;
+  const Bytes id = BytesFromString("ELECTRIC-BAYTOWER-SV-CA");
+  const Bytes msg = BytesFromString("kWh=42.7");
+  DeterministicRandom rng(7);
+  BasicCiphertext basic = ibe.Encrypt(params, id, msg, rng);
+  FullCiphertext full = ibe.EncryptFull(params, id, msg, rng);
+  EXPECT_EQ(HexEncode(basic.v), "0fd9df3373ba8c7d");
+  EXPECT_EQ(HexEncode(full.v),
+            "8b271e12cae25a8d4e0a77db3be5039d"
+            "3c26e9d3862694e8fc232f4117065b2f");
+  EXPECT_EQ(HexEncode(full.w), "41469457b7bf768a");
+}
+
+// The encryptors pair H1's uncleared candidate and raise to h*r mod q;
+// this is the composition it replaces, with and without P_pub's cached
+// Miller lines.
+void ExpectFoldMatchesComposition(ParamPreset preset, uint64_t seed) {
+  BfIbe ibe(GetParams(preset));
+  DeterministicRandom rng(seed);
+  SystemParams params = ibe.Setup(rng).first;
+  SystemParams cold = params;
+  cold.ClearPrecompute();
+  for (int i = 0; i < 200; ++i) {
+    Bytes id = rng.Generate(1 + i % 40);
+    math::BigInt r = ibe.group().RandomScalar(rng);
+    math::Fp2 expected = ibe.PairPpub(params, ibe.HashToPoint(id)).Pow(r);
+    ASSERT_EQ(ibe.PairPpubHashedPow(params, id, r), expected) << "i=" << i;
+    ASSERT_EQ(ibe.PairPpubHashedPow(cold, id, r), expected) << "i=" << i;
+  }
+}
+
+TEST(PairPpubHashedPowTest, MatchesHashToPointPairingPowSmall) {
+  ExpectFoldMatchesComposition(ParamPreset::kSmall, 31);
+}
+
+TEST(PairPpubHashedPowTest, MatchesHashToPointPairingPowTest) {
+  ExpectFoldMatchesComposition(ParamPreset::kTest, 32);
+}
+
+// The fold must accept exactly the candidates H1 accepts, or the device
+// would seal to a point the PKG never extracts for. A group with an
+// 8-bit q makes h*Q' = O common (about one liftable x in q); x = 0 lifts
+// to the 2-torsion point (0, 0).
+TEST(PairPpubHashedPowTest, RejectsExactlyTheCandidatesLiftXRejects) {
+  DeterministicRandom rng(2020);
+  auto generated = math::TypeAParams::Generate(8, 64, rng);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  const math::TypeAParams& group = *generated.value();
+  BfIbe ibe(group);
+  SystemParams params = ibe.Setup(rng).first;
+  SystemParams cold = params;
+  cold.ClearPrecompute();
+  size_t accepted = 0;
+  size_t cleared_to_identity = 0;
+  for (uint64_t v = 0; v < 4096; ++v) {
+    math::Fp x = math::Fp::FromU64(group.ctx(), v);
+    auto lifted = group.LiftX(x);
+    for (const SystemParams* p : {&params, &cold}) {
+      auto paired = ibe.PairPpubUncleared(*p, x);
+      ASSERT_EQ(paired.ok(), lifted.ok()) << "x=" << v;
+      if (lifted.ok()) {
+        EXPECT_EQ(paired.value().Pow(group.cofactor()),
+                  ibe.PairPpub(*p, lifted.value()))
+            << "x=" << v;
+      }
+    }
+    if (lifted.ok()) {
+      ++accepted;
+    } else if (group.LiftXUncleared(x).ok()) {
+      ++cleared_to_identity;
+    }
+    if (v == 0) {
+      EXPECT_FALSE(lifted.ok());
+    }
+  }
+  EXPECT_GT(accepted, 1000u);
+  // x = 0 plus odd-order points that h sends to O.
+  EXPECT_GT(cleared_to_identity, 2u);
+}
+
 TEST_F(BfIbeTest, ExtractConsistent) {
   Bytes id = BytesFromString("ELECTRIC-BAYTOWER-SV-CA");
   IbePrivateKey d1 = ibe_.Extract(master_, id);

@@ -184,6 +184,30 @@ TEST_F(PairingTest, CreateRejectsOffCurveGenerator) {
   EXPECT_FALSE(bad.ok());
 }
 
+// The device's seal relies on gcd(h, q) = 1 (h*Q = O exactly when
+// e(P, Q) = 1). Here p = 12 * 7^2 - 1 = 587, so h = 84 = 12 * 7 and
+// every h*r is 0 mod q; (121, 522) is a valid point of order 7.
+TEST(PairingCreateTest, RejectsQDividingTheCofactor) {
+  DeterministicRandom rng(13);
+  auto params = TypeAParams::Create(BigInt(587), BigInt(7), BigInt(121),
+                                    BigInt(522), rng);
+  ASSERT_FALSE(params.ok());
+  EXPECT_EQ(params.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(PairingCreateTest, GenerateDrawsACofactorCoprimeToQ) {
+  // With a 4-bit q and a 12-bit h, about one h in twelve is a multiple
+  // of q, so fifty parameter sets meet that case.
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    DeterministicRandom rng(seed);
+    auto params = TypeAParams::Generate(4, 16, rng);
+    ASSERT_TRUE(params.ok()) << params.status();
+    const TypeAParams& group = *params.value();
+    EXPECT_EQ(group.cofactor() * group.q(), group.p() + BigInt(1));
+    EXPECT_FALSE((group.cofactor() % group.q()).IsZero()) << "seed " << seed;
+  }
+}
+
 // --- Fast-path (v2 engine) vs reference-path equivalence. Miller values
 // differ between the two loops by a factor in F_p*, which the final
 // exponentiation erases, so equality is asserted on full pairings and

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -274,6 +277,60 @@ TEST(ParallelForTest, RethrowsAfterEveryThreadHasFinished) {
   EXPECT_EQ(running.load(), 0);
   EXPECT_LE(calls.load(), n);
 }
+
+#ifdef SCHED_IDLE
+int ThreadPolicy() {
+  int policy = 0;
+  sched_param param{};
+  pthread_getschedparam(pthread_self(), &policy, &param);
+  return policy;
+}
+
+TEST(ParallelForTest, HelpersRunAtIdlePriority) {
+  const size_t hw = HardwareThreads();
+  if (hw < 2) GTEST_SKIP() << "one hardware thread: no helper starts";
+  bool permitted = false;
+  std::thread([&] {
+    sched_param param{};
+    permitted =
+        pthread_setschedparam(pthread_self(), SCHED_IDLE, &param) == 0;
+  }).join();
+  if (!permitted) GTEST_SKIP() << "this host refuses SCHED_IDLE";
+
+  const std::thread::id caller = std::this_thread::get_id();
+  const int caller_policy = ThreadPolicy();
+  const size_t n = 4 * hw;
+  std::vector<std::thread::id> ran_on(n);
+  std::vector<int> policy(n);
+  std::atomic<bool> helper_ran{false};
+  ParallelFor(n, [&](size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    policy[i] = ThreadPolicy();
+    if (ran_on[i] != caller) {
+      helper_ran = true;
+      return;
+    }
+    // Leave the core until a helper has run an item, so one does even
+    // when every core is busy with normal-priority work.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!helper_ran && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  size_t off_caller = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (ran_on[i] == caller) {
+      EXPECT_EQ(policy[i], caller_policy) << "i=" << i;
+    } else {
+      ++off_caller;
+      EXPECT_EQ(policy[i], SCHED_IDLE) << "i=" << i;
+    }
+  }
+  EXPECT_GT(off_caller, 0u);
+  EXPECT_EQ(ThreadPolicy(), caller_policy);
+}
+#endif  // SCHED_IDLE
 
 TEST(StringUtilTest, Split) {
   EXPECT_EQ(SplitString("a,b,c", ','),
